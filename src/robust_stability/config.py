@@ -2,7 +2,7 @@
 
 Every module reads its defaults from here so that tests have a single knob.
 The environment variable ROBUST_STABILITY_TOL overrides the record: either a
-single number (applied to all three fields) or a JSON object with any of the
+single number (applied to both fields) or a JSON object with any of the
 field names.
 """
 
@@ -17,7 +17,6 @@ ENV_VAR = "ROBUST_STABILITY_TOL"
 class Tolerances:
     feasibility: float = 1e-9
     optimality: float = 1e-9
-    geometry: float = 1e-10
 
 
 def default_tolerances() -> Tolerances:
@@ -31,9 +30,9 @@ def default_tolerances() -> Tolerances:
         raise ValueError(f"{ENV_VAR} is not valid JSON: {raw!r}") from exc
     if isinstance(data, (int, float)) and not isinstance(data, bool):
         v = float(data)
-        return Tolerances(feasibility=v, optimality=v, geometry=v)
+        return Tolerances(feasibility=v, optimality=v)
     if isinstance(data, dict):
-        allowed = {"feasibility", "optimality", "geometry"}
+        allowed = {"feasibility", "optimality"}
         unknown = set(data) - allowed
         if unknown:
             raise ValueError(f"{ENV_VAR} has unknown fields: {sorted(unknown)}")

@@ -9,15 +9,13 @@ but no timestamps, so identical inputs give byte-identical output.
 
 import argparse
 import csv
-import io
 import json
 import sys
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import lp as lpmod
-from .config import default_tolerances
 from .errors import (
     HypothesisViolatedError,
     RobustStabilityError,
@@ -31,9 +29,9 @@ from .model import (
     constraintwise_distance,
     robust_counterpart,
 )
-from .report import CertificateReport, _jsonable
+from .report import _jsonable
 from .setdist import check_eps_argmin_lipschitz
-from .stability import ValueLipschitzChecker, augment_with_slack_row
+from .stability import ValueLipschitzChecker
 from .transform import SamplePlan, verify_transform_distance_multi
 
 PERTURBATION_KINDS = ("translate", "scale", "vertexJitter", "shrinkToPoint")
@@ -46,7 +44,6 @@ class ExperimentConfig:
     perturbation_kind: str = "translate"
     magnitude_schedule: tuple = (1e-1, 1e-2, 1e-3)
     epsilon: float = None  # None = half the distance to the solvable boundary
-    output_path: str = None
 
     def __post_init__(self):
         if self.trials <= 0:

@@ -9,7 +9,7 @@ direction) together with an exactness flag.
 
 import numpy as np
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from . import lp as lpmod
 from .errors import (
@@ -66,22 +66,21 @@ class TruncatedDistance:
 
 def eps_argmin(pi: LsioProblem, eps: float) -> EpsArgmin:
     """H-rep of the eps-optimal set: feasible rows + level row."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     res = lpmod.solve(pi.to_lp())
     if res.status != lpmod.OPTIMAL:
         raise NotSolvableError(f"problem status {res.status}")
+    return _eps_argmin_from(pi, res, eps)
+
+
+def _eps_argmin_from(pi: LsioProblem, res: lpmod.SolveResult, eps: float) -> EpsArgmin:
+    """eps_argmin from an optimal solve of pi that the caller already has."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     rows = [(r.a.copy(), r.b) for r in pi.rows]
     rows.append((-pi.cost.copy(), -(res.value + eps)))
     return EpsArgmin(
         rows=tuple(rows), epsilon=float(eps), nu=res.value, witness=res.solution
     )
-
-
-def _as_rows_and_dim(C: Union[EpsArgmin, Polytope]):
-    if isinstance(C, EpsArgmin):
-        return C.rows, C.dim, False
-    return None, C.dim, True
 
 
 def _dist_to(C: Union[EpsArgmin, Polytope], x) -> float:
@@ -131,8 +130,7 @@ def _truncated_excess(C, D, params: TruncatedDistParams):
         # anchor and bisect for the last point in C with norm <= r
         rng = np.random.default_rng(params.seed)
         anchor = _interior_anchor(C, r)
-        dim = C.dim if isinstance(C, (EpsArgmin, Polytope)) else len(anchor)
-        dirs = rng.standard_normal((params.direction_count, dim))
+        dirs = rng.standard_normal((params.direction_count, C.dim))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         for u in dirs:
             lo, hi = 0.0, 4.0 * r
@@ -144,8 +142,7 @@ def _truncated_excess(C, D, params: TruncatedDistParams):
                 else:
                     hi = mid
             candidates.append(anchor + lo * u)
-        if anchor is not None:
-            candidates.append(np.asarray(anchor, dtype=float))
+        candidates.append(np.asarray(anchor, dtype=float))
     if not candidates:
         return 0.0, False
     value = max(_dist_to(D, x) for x in candidates)
@@ -258,9 +255,9 @@ def check_eps_argmin_lipschitz(
     if not eta < dist_infeas:
         raise EtaTooLargeError(f"eta = {eta} >= dist_infeas = {dist_infeas}")
 
-    EU = eps_argmin(cpU, eps)
-    EV = eps_argmin(LsioProblem(cost=cpV.cost, rows=cpV.rows), eps)
-    nu_u, nu_v = interior.solve_result.value, res_v.value
+    EU = _eps_argmin_from(cpU, interior.solve_result, eps)
+    EV = _eps_argmin_from(cpV, res_v, eps)
+    nu_u, nu_v = EU.nu, EV.nu
     if r0 is None:
         r0 = (
             max(

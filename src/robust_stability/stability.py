@@ -15,19 +15,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import lp as lpmod
-from .config import default_tolerances
 from .errors import (
     EpsilonTooLargeError,
     HypothesisViolatedError,
     NotInteriorSolvableError,
     NuNotFiniteError,
+    OriginNotInteriorError,
     SlaterFailedError,
     UnboundedPolarError,
 )
 from .geometry import (
     HSet,
     Polytope,
-    contains_origin_interior,
     dist_origin_to_hset,
     inradius_at_origin,
 )
@@ -154,14 +153,29 @@ def check_interior_solvable(pi: LsioProblem) -> InteriorSolvableResult:
     )
 
 
-def distance_to_bd_solvable(pi: LsioProblem, nu: float = None) -> float:
+def _boundary_distances(pi: LsioProblem):
+    """(canonical problem, distance to infeasibility, inradius of Z- at 0).
+
+    Assumes pi is interior-solvable; the only check left here is the origin
+    strictly inside Z-, which inradius_at_origin makes itself.
+    """
+    canon = LsioProblem(cost=pi.cost, rows=_canonical_rows(pi.rows))
+    dist_infeas = dist_origin_to_hset(build_H(canon.rows))
+    try:
+        d_z = inradius_at_origin(build_Zminus(canon)).value
+    except (OriginNotInteriorError, UnboundedPolarError) as exc:
+        raise NotInteriorSolvableError(
+            "origin not strictly interior to Z-(pi); boundary-case input rejected"
+        ) from exc
+    return canon, dist_infeas, d_z
+
+
+def distance_to_bd_solvable(pi: LsioProblem) -> float:
     """min(distance to infeasibility, inradius of Z- at the origin)."""
     interior = check_interior_solvable(pi)
     if not interior.ok:
         raise NotInteriorSolvableError(interior.failing)
-    canon = LsioProblem(cost=pi.cost, rows=_canonical_rows(pi.rows))
-    d_i = dist_origin_to_hset(build_H(canon.rows))
-    d_z = inradius_at_origin(build_Zminus(canon)).value
+    _, d_i, d_z = _boundary_distances(pi)
     return min(d_i, d_z)
 
 
@@ -176,7 +190,12 @@ def lipschitz_constant(
     interior = check_interior_solvable(pi)
     if not interior.ok:
         raise NotInteriorSolvableError(interior.failing)
-    canon = LsioProblem(cost=pi.cost, rows=_canonical_rows(pi.rows))
+    return _stability_constants(pi, nu, eps)
+
+
+def _stability_constants(pi: LsioProblem, nu, eps) -> StabilityConstants:
+    """lipschitz_constant for a problem already known to be interior-solvable."""
+    canon, dist_infeas, d_z = _boundary_distances(pi)
     if nu is None:
         res = lpmod.solve(canon.to_lp())
         if res.status != lpmod.OPTIMAL:
@@ -184,14 +203,6 @@ def lipschitz_constant(
         nu = res.value
     c_norm = float(np.linalg.norm(canon.cost))
 
-    dist_infeas = dist_origin_to_hset(build_H(canon.rows))
-    z_minus = build_Zminus(canon)
-    inside, margin = contains_origin_interior(z_minus)
-    if not inside or margin <= 1e-9:
-        raise NotInteriorSolvableError(
-            "origin not strictly interior to Z-(pi); boundary-case input rejected"
-        )
-    d_z = inradius_at_origin(z_minus).value
     dist_bd = min(dist_infeas, d_z)
     if eps is None:
         eps = 0.5 * dist_bd
@@ -238,18 +249,19 @@ class ValueLipschitzChecker:
     computation, which keeps large randomized suites fast.
     """
 
-    def __init__(self, rpU: RobustProblem, eps: float = None, rho: float = None):
+    def __init__(self, rpU: RobustProblem, eps: float = None):
         self.rpU = rpU
         self.counterpart = robust_counterpart(rpU)
         interior = check_interior_solvable(self.counterpart)
         if not interior.ok:
             raise HypothesisViolatedError(interior.failing)
         self.nu_u = interior.solve_result.value
-        if rho is None:
-            rho = interior.slater.rho
-        self.rho = float(rho)
+        self.rho = float(interior.slater.rho)
+        # The row <0, x> >= -rho with rho > 0 the Slater constant changes
+        # neither the Slater property, the feasible set, the optimum nor the
+        # recession cone, so the augmented problem is interior-solvable too.
         self.augmented = augment_with_slack_row(self.counterpart, self.rho)
-        self.constants = lipschitz_constant(self.augmented, nu=self.nu_u, eps=eps)
+        self.constants = _stability_constants(self.augmented, self.nu_u, eps)
 
     def check(self, rpV: RobustProblem, tol: float = 1e-7) -> CertificateReport:
         d_nat = constraintwise_distance(self.rpU, rpV).value

@@ -9,7 +9,7 @@ every sample plan turns the check into an equality test.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, IndexMismatchError
 from .geometry import Polytope, hausdorff, project_onto_polytope
@@ -30,14 +30,6 @@ class SamplePlan:
     seed: int = 0
     counts: tuple = (50, 50, 50, 50)
     box_margin: float = 1.0
-
-
-@dataclass(frozen=True)
-class IndexedEval:
-    index_point: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    gap: float
 
 
 def _membership(t, P: Polytope):
@@ -116,24 +108,33 @@ def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
     return out
 
 
-def _sigma_from_cache(t, in_self, in_other, proj_self, b, rho):
-    """sigma_{U;V}(t) using precomputed memberships (fixed-b form)."""
+def _sigma_cached(ts, in_self, in_other, proj_self, rho):
+    """sigma_{U;V} at a stacked (a, b) index point from cached memberships."""
     if in_self:
-        return np.append(t, float(b))
+        return ts
     if in_other:
-        return np.append(proj_self, float(b))
-    return np.append(np.zeros(t.shape[0]), -float(rho))
+        return proj_self
+    out = np.zeros(ts.shape[0])
+    out[-1] = -float(rho)
+    return out
 
 
-def _evaluate_pair(U, V, b, rho, plan):
-    evals = []
-    for t, in_u, in_v, proj_u, proj_v in _sample_index_points(U, V, plan):
-        t = np.asarray(t, dtype=float)
-        left = _sigma_from_cache(t, in_u, in_v, proj_u, b, rho)
-        right = _sigma_from_cache(t, in_v, in_u, proj_v, b, rho)
-        gap = float(np.linalg.norm(left - right))
-        evals.append(IndexedEval(index_point=t, left=left, right=right, gap=gap))
-    return evals
+def _sampled_sup(U, V, rho, plan, b=None):
+    """(sup of ||sigma_{U;V}(t) - sigma_{V;U}(t)|| over the plan, sample count).
+
+    With b given, index points t in R^n stand for the rows (t, b); otherwise
+    they are already stacked (a, b) rows.
+    """
+    gaps = []
+    for ts, in_u, in_v, proj_u, proj_v in _sample_index_points(U, V, plan):
+        if b is not None:
+            ts, proj_u, proj_v = (
+                np.append(x, float(b)) for x in (ts, proj_u, proj_v)
+            )
+        left = _sigma_cached(ts, in_u, in_v, proj_u, rho)
+        right = _sigma_cached(ts, in_v, in_u, proj_v, rho)
+        gaps.append(float(np.linalg.norm(left - right)))
+    return max(gaps), len(gaps)
 
 
 def verify_transform_distance(
@@ -147,8 +148,7 @@ def verify_transform_distance(
     """Check sup_t ||sigma_{U;V}(t) - sigma_{V;U}(t)|| = d_H(U, V) two-sided."""
     if U.dim != V.dim:
         raise DimensionMismatchError("U and V have different dimensions")
-    evals = _evaluate_pair(U, V, b, rho, plan)
-    measured = max(e.gap for e in evals)
+    measured, samples = _sampled_sup(U, V, rho, plan, b=b)
     bound = hausdorff(U, V)
     passed = abs(measured - bound) <= tol
     return CertificateReport(
@@ -159,7 +159,7 @@ def verify_transform_distance(
         context={
             "check": "transform-distance",
             "seed": plan.seed,
-            "samples": len(evals),
+            "samples": samples,
             "b": float(b),
             "rho": float(rho),
         },
@@ -184,13 +184,7 @@ def verify_transform_distance_multi(
     for alpha in sorted(rpU.constraint_sets):
         U = rpU.constraint_sets[alpha]
         V = rpV.constraint_sets[alpha]
-        evals = []
-        for ts, in_u, in_v, proj_u, proj_v in _sample_index_points(U, V, plan):
-            ts = np.asarray(ts, dtype=float)
-            left = _sigma_multi_cached(ts, in_u, in_v, proj_u, rho)
-            right = _sigma_multi_cached(ts, in_v, in_u, proj_v, rho)
-            evals.append(float(np.linalg.norm(left - right)))
-        per_alpha[alpha] = max(evals)
+        per_alpha[alpha] = _sampled_sup(U, V, rho, plan)[0]
     measured = max(per_alpha.values())
     bound = constraintwise_distance(rpU, rpV).value
     passed = abs(measured - bound) <= tol
@@ -206,16 +200,6 @@ def verify_transform_distance_multi(
             "perConstraint": {k: float(v) for k, v in per_alpha.items()},
         },
     )
-
-
-def _sigma_multi_cached(ts, in_self, in_other, proj_self, rho):
-    if in_self:
-        return ts
-    if in_other:
-        return proj_self
-    out = np.zeros(ts.shape[0])
-    out[-1] = -float(rho)
-    return out
 
 
 def _sigma_multi(ts, U: Polytope, V: Polytope, rho: float):

@@ -9,6 +9,7 @@ feasible set (so the problem is solvable with a bounded optimal face).
 import numpy as np
 import pytest
 
+from robust_stability import lp
 from robust_stability.geometry import Polytope
 from robust_stability.model import RobustProblem
 
@@ -63,3 +64,17 @@ def shifted_instance(rp, rng, magnitude):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def lp_solve_calls(monkeypatch):
+    """One-element list counting lp.solve calls made through any module."""
+    count = [0]
+    real_solve = lp.solve
+
+    def counting_solve(*args, **kwargs):
+        count[0] += 1
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", counting_solve)
+    return count

@@ -186,6 +186,14 @@ class TestCheckEpsArgminLipschitz:
         with pytest.raises(HypothesisViolatedError):
             sd.check_eps_argmin_lipschitz(rp, rpV, eps=0.3, eta=0.05)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_solves_each_counterpart_once(self, rng, lp_solve_calls, n):
+        # Slater LP, 2n recession LPs and one solve of each counterpart
+        rp = random_feasible_instance(rng, n=n)
+        rpV = shifted_instance(rp, rng, 1e-3)
+        sd.check_eps_argmin_lipschitz(rp, rpV, eps=0.3)
+        assert lp_solve_calls[0] == 3 + 2 * n
+
     def test_bad_reference(self):
         from robust_stability.model import RobustProblem
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,35 @@ class TestLipschitzConstant:
         ))
         with pytest.raises(NotInteriorSolvableError):
             st.lipschitz_constant(pi)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [st.lipschitz_constant, st.distance_to_bd_solvable],
+        ids=["lipschitz_constant", "distance_to_bd_solvable"],
+    )
+    def test_zminus_boundary_rejected(self, monkeypatch, entry):
+        # Z- = conv{(1, 0), (-1, 0)} is a segment through the origin.  The
+        # other hypotheses are forced to pass, so only the Z- check rejects.
+        pi = LsioProblem(cost=[1.0, 0.0], rows=rows_of(
+            ([1.0, 0.0], 1.0), ([-1.0, 0.0], -2.0)
+        ))
+        real = st.check_interior_solvable
+        monkeypatch.setattr(
+            st,
+            "check_interior_solvable",
+            lambda p: dataclasses.replace(real(p), ok=True, failing=""),
+        )
+        with pytest.raises(NotInteriorSolvableError, match="Z-"):
+            entry(pi)
+
+
+class TestSolveCounts:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_checker_solves_each_lp_once(self, rng, lp_solve_calls, n):
+        # Slater LP, the solve, 2n recession LPs, 2n probes of Z-
+        rp = random_feasible_instance(rng, n=n)
+        st.ValueLipschitzChecker(rp)
+        assert lp_solve_calls[0] == 2 + 4 * n
 
 
 class TestAugmentation:
