@@ -22,6 +22,7 @@ from .errors import (
 
 _MNP_GAP_TOL = 1e-9
 _MNP_MAX_ITER = 100_000
+_SUBSET_BLOCK = 4096  # d-subsets per stacked solve; ~3 MB of products at k = 64
 
 
 @dataclass(frozen=True)
@@ -223,23 +224,16 @@ def contains_origin_interior(P: Polytope, tol: float = None):
             direction[i] = s
             # variables (lam_1..k, r): max r s.t. W' lam = r*direction,
             # sum lam = 1, lam >= 0, r <= cap
+            cost = np.zeros(k + 1)
+            cost[-1] = -1.0  # also the cap row's normal: -r >= -cap
             rows = []
             for j in range(d):
                 row = np.append(W[:, j], -direction[j])
-                rows.append((row, 0.0))
-                rows.append((-row, 0.0))
+                rows += [(row, 0.0), (-row, 0.0)]
             ones = np.append(np.ones(k), 0.0)
-            rows.append((ones, 1.0))
-            rows.append((-ones, -1.0))
-            for idx in range(k):
-                e = np.zeros(k + 1)
-                e[idx] = 1.0
-                rows.append((e, 0.0))
-            cap_row = np.zeros(k + 1)
-            cap_row[-1] = -1.0
-            rows.append((cap_row, -r_cap))
-            cost = np.zeros(k + 1)
-            cost[-1] = -1.0
+            rows += [(ones, 1.0), (-ones, -1.0)]
+            rows += [(e, 0.0) for e in np.eye(k, k + 1)]
+            rows.append((cost, -r_cap))
             res = lpmod.solve(lpmod.LinearProgram.from_rows(cost, rows))
             if res.status != lpmod.OPTIMAL:
                 return False, 0.0
@@ -248,6 +242,23 @@ def contains_origin_interior(P: Polytope, tol: float = None):
                 return False, 0.0
             margin = min(margin, r_star)
     return True, float(margin)
+
+
+def _subset_solutions(M, rhs, d):
+    """(X, M @ X) per block of d-subsets S of M's rows, X solving M[S] x = rhs[S].
+
+    Subsets come in itertools.combinations order; one is dropped exactly when
+    its LU meets a zero pivot (slogdet sign 0), where np.linalg.solve raises.
+    gesv and gemv run per subset, so every value has a one-subset call's bits.
+    """
+    flat = itertools.chain.from_iterable(itertools.combinations(range(len(M)), d))
+    while (idx := np.fromiter(itertools.islice(flat, _SUBSET_BLOCK * d), np.intp)).size:
+        A = M[idx.reshape(-1, d)]
+        ok = np.linalg.slogdet(A)[0] != 0
+        X = np.linalg.solve(A[ok], rhs[idx.reshape(-1, d)[ok]][..., None])
+        with np.errstate(invalid="ignore"):  # 0 * inf where a solve overflowed
+            MX = M @ X
+        yield X[..., 0], MX[..., 0]
 
 
 class Inradius(NamedTuple):
@@ -260,9 +271,9 @@ def inradius_at_origin(P: Polytope, tol: float = None) -> Inradius:
 
     Polar-circumradius identity: r* = 1 / max{||y|| : <v_i, y> <= 1 for all
     vertices}; the inner maximum is attained at a vertex of the polar
-    H-polytope and found by enumerating dim-subsets of active constraints.
-    A seeded direction-sweep fallback (flagged estimated) covers inputs past
-    desk scale (dim > 4 or > 64 vertices).
+    H-polytope, found by solving dim-subsets of active constraints in stacked
+    blocks.  An inradius or probe margin <= 1e-9 raises UnboundedPolarError.
+    A seeded direction sweep (flagged estimated) covers dim > 4 or > 64 vertices.
     """
     if tol is None:
         tol = default_tolerances().feasibility
@@ -274,18 +285,14 @@ def inradius_at_origin(P: Polytope, tol: float = None) -> Inradius:
     V = P.vertices
     k, d = V.shape
     if d <= 4 and k <= 64:
-        ones = np.ones(d)
         best = 0.0
-        for S in itertools.combinations(range(k), d):
-            A = V[list(S)]
-            try:
-                y = np.linalg.solve(A, ones)
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(V @ y <= 1.0 + 1e-9):
+        for Y, VY in _subset_solutions(V, np.ones(k), d):
+            for y in Y[(VY <= 1.0 + 1e-9).all(axis=1)]:
                 best = max(best, float(np.linalg.norm(y)))
         if best <= tol:
             raise UnboundedPolarError("polar polytope has no vertices (degenerate)")
+        if 1.0 / best <= 1e-9:  # the probe margin's threshold
+            raise UnboundedPolarError("origin within tolerance of the boundary")
         return Inradius(value=1.0 / best, estimated=False)
     # fallback: minimize the support function h(u) = max_i <v_i, u> over unit
     # directions by seeded sweep plus shrinking local refinement
@@ -349,18 +356,11 @@ def enumerate_hrep_vertices(rows, dim: int, tol: float = 1e-8):
     """
     A = np.array([np.asarray(a, dtype=float) for a, _ in rows])
     b = np.array([float(bb) for _, bb in rows])
-    m = A.shape[0]
     scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(A))))
     verts = []
-    for S in itertools.combinations(range(m), dim):
-        sub = A[list(S)]
-        try:
-            x = np.linalg.solve(sub, b[list(S)])
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(x)):
-            continue
-        if np.all(A @ x >= b - tol * scale):
+    for X, AX in _subset_solutions(A, b, dim):
+        keep = np.isfinite(X).all(axis=1) & (AX >= b - tol * scale).all(axis=1)
+        for x in X[keep]:
             if not any(np.linalg.norm(x - w) <= 1e-7 for w in verts):
                 verts.append(x)
     return verts

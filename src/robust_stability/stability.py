@@ -185,22 +185,22 @@ def lipschitz_constant(
     """All stability constants for the (already augmented) problem pi.
 
     eps defaults to half the distance to the boundary of the solvable set;
-    any caller-supplied eps must satisfy 0 < eps < that distance.
+    any caller-supplied eps must satisfy 0 < eps < that distance.  The
+    hypotheses are checked on the canonical copy, whose solve gives nu when
+    it is not supplied.
     """
-    interior = check_interior_solvable(pi)
+    canon = LsioProblem(cost=pi.cost, rows=_canonical_rows(pi.rows))
+    interior = check_interior_solvable(canon)
     if not interior.ok:
         raise NotInteriorSolvableError(interior.failing)
-    return _stability_constants(pi, nu, eps)
+    if nu is None:
+        nu = interior.solve_result.value
+    return _stability_constants(canon, nu, eps)
 
 
-def _stability_constants(pi: LsioProblem, nu, eps) -> StabilityConstants:
+def _stability_constants(pi: LsioProblem, nu: float, eps) -> StabilityConstants:
     """lipschitz_constant for a problem already known to be interior-solvable."""
     canon, dist_infeas, d_z = _boundary_distances(pi)
-    if nu is None:
-        res = lpmod.solve(canon.to_lp())
-        if res.status != lpmod.OPTIMAL:
-            raise NotInteriorSolvableError(f"canonical solve status {res.status}")
-        nu = res.value
     c_norm = float(np.linalg.norm(canon.cost))
 
     dist_bd = min(dist_infeas, d_z)

@@ -1,10 +1,16 @@
 import itertools
+import time
+import warnings
 
 import numpy as np
 import pytest
 
 from robust_stability import geometry as geo
-from robust_stability.errors import DimensionMismatchError, OriginNotInteriorError
+from robust_stability.errors import (
+    DimensionMismatchError,
+    OriginNotInteriorError,
+    UnboundedPolarError,
+)
 
 
 def grid_project(p, P, step=1e-3):
@@ -228,6 +234,127 @@ class TestInradius:
     def test_origin_not_interior(self):
         with pytest.raises(OriginNotInteriorError):
             geo.inradius_at_origin(geo.Polytope([[1, 1], [2, 1], [1, 2]]))
+
+    @pytest.mark.parametrize("d", [1.2e-9, 1.5e-9, 2e-9])
+    def test_within_tolerance_rejected(self, d):
+        # inradius d/2 <= 1e-9: rejected like a probe margin <= 1e-9
+        with pytest.raises((OriginNotInteriorError, UnboundedPolarError)):
+            geo.inradius_at_origin(geo.Polytope([[1, d], [1, -d], [-1, 0]]))
+
+    def test_just_past_tolerance_accepted(self):
+        r = geo.inradius_at_origin(geo.Polytope([[1, 3e-9], [1, -3e-9], [-1, 0]]))
+        assert r.value == pytest.approx(1.5e-9, rel=1e-12)
+
+    def test_largest_exact_case(self, rng):
+        # k = 64, d = 4: 635,376 subsets; the polar of the cross-polytope is
+        # the cube [-1, 1]^4 and the interior points (l1 norm <= 0.8) cut
+        # none of its vertices, so the inradius is exactly 1/2
+        V = np.vstack([np.eye(4), -np.eye(4), rng.uniform(-0.2, 0.2, size=(56, 4))])
+        start = time.perf_counter()
+        r = geo.inradius_at_origin(geo.Polytope(V))
+        assert r == (0.5, False)
+        assert time.perf_counter() - start < 5.0
+
+
+def loop_inradius_best(V):
+    """max ||y|| over vertices of {y : V y <= 1}: one solve per d-subset."""
+    k, d = V.shape
+    ones = np.ones(d)
+    best = 0.0
+    for S in itertools.combinations(range(k), d):
+        try:
+            y = np.linalg.solve(V[list(S)], ones)
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(V @ y <= 1.0 + 1e-9):
+            best = max(best, float(np.linalg.norm(y)))
+    return best
+
+
+def loop_hrep_vertices(rows, dim, tol=1e-8):
+    """Vertices of {x : A x >= b}: one solve per dim-subset of rows."""
+    A = np.array([np.asarray(a, dtype=float) for a, _ in rows])
+    b = np.array([float(bb) for _, bb in rows])
+    scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(A))))
+    verts = []
+    for S in itertools.combinations(range(A.shape[0]), dim):
+        try:
+            x = np.linalg.solve(A[list(S)], b[list(S)])
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(x)):
+            continue
+        if np.all(A @ x >= b - tol * scale):
+            if not any(np.linalg.norm(x - w) <= 1e-7 for w in verts):
+                verts.append(x)
+    return verts
+
+
+class TestBatchedSubsetsMatchLoop:
+    """The stacked subset solves give the bits of one solve per subset."""
+
+    @staticmethod
+    def polytopes(rng):
+        for trial in range(60):
+            d = int(rng.integers(1, 5))
+            box = np.vstack([np.eye(d), -np.eye(d)])  # +/- e_i pairs
+            V = np.vstack([box, rng.normal(size=(int(rng.integers(0, 10)), d))])
+            if trial % 2:
+                V = np.vstack([V, np.zeros(d)])  # the slack row's zero vertex
+            if trial % 3 == 0:
+                V = np.vstack([V, V[:2], V[-1:]])  # duplicate vertices
+            if trial % 5 == 0:
+                V = np.round(V)  # many exactly singular subsets
+            yield geo.Polytope(V)
+
+    def test_inradius(self, rng):
+        for P in self.polytopes(rng):
+            r = geo.inradius_at_origin(P)
+            assert r == (1.0 / loop_inradius_best(P.vertices), False)
+
+    def test_inradius_all_singular(self, monkeypatch):
+        V = np.array([[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0], [0.0, 0.0]])
+        assert loop_inradius_best(V) == 0.0
+        monkeypatch.setattr(
+            geo, "contains_origin_interior", lambda P, tol=None: (True, 1.0)
+        )
+        with pytest.raises(UnboundedPolarError):
+            geo.inradius_at_origin(geo.Polytope(V))
+
+    def test_hrep_vertices(self, rng):
+        for trial in range(120):
+            dim = int(rng.integers(1, 5))
+            m = int(rng.integers(1, 9))
+            rows = [(rng.normal(size=dim), float(rng.normal())) for _ in range(m)]
+            if trial % 2:
+                rows += [(np.eye(dim)[i], -1.0) for i in range(dim)]
+                rows += [(-np.eye(dim)[i], -1.0) for i in range(dim)]
+            if trial % 3 == 0:
+                rows += rows[:2]  # duplicate rows
+            if trial % 5 == 0:
+                rows = [(np.round(a), round(b)) for a, b in rows]
+            got = geo.enumerate_hrep_vertices(rows, dim)
+            want = loop_hrep_vertices(rows, dim)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    def test_hrep_fewer_rows_than_dim(self):
+        rows = [([1.0, 0.0, 0.0], 0.0), ([0.0, 1.0, 0.0], 0.0)]
+        assert geo.enumerate_hrep_vertices(rows, 3) == loop_hrep_vertices(rows, 3) == []
+
+    def test_hrep_overflowed_solution(self):
+        # the second pivot is 1e-310: the solve overflows to inf, and the
+        # candidate is dropped silently, as by the loop
+        rows = [([1.0, 0.0], 0.0), ([1.0, 1e-310], 1.0), ([0.0, 1.0], 0.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = geo.enumerate_hrep_vertices(rows, 2)
+        want = loop_hrep_vertices(rows, 2)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    def test_hrep_all_singular(self):
+        rows = [([1.0, 1.0], 0.0), ([2.0, 2.0], 1.0)]
+        rows += [([-1.0, -1.0], -3.0), ([0.0, 0.0], -1.0)]
+        assert geo.enumerate_hrep_vertices(rows, 2) == loop_hrep_vertices(rows, 2) == []
 
 
 class TestContainsOriginInterior:

@@ -12,7 +12,7 @@ from robust_stability.errors import (
     SlaterFailedError,
 )
 from robust_stability.geometry import dist_origin_to_hset
-from robust_stability.model import IndexedRow, LsioProblem
+from robust_stability.model import IndexedRow, LsioProblem, robust_counterpart
 
 from conftest import random_feasible_instance, shifted_instance
 
@@ -232,6 +232,17 @@ class TestLipschitzConstant:
         with pytest.raises(NotInteriorSolvableError, match="Z-"):
             entry(pi)
 
+    @pytest.mark.parametrize("d", [1.2e-9, 1.5e-9, 2e-9])
+    def test_zminus_within_tolerance_rejected(self, d):
+        # min x1 s.t. x1 +/- d x2 >= -1 passes the other hypotheses, and
+        # Z- = conv{(1, d), (1, -d), (-1, 0)} has inradius d/2 <= 1e-9
+        pi = LsioProblem(cost=[1.0, 0.0], rows=rows_of(
+            ([1.0, d], -1.0), ([1.0, -d], -1.0)
+        ))
+        assert st.check_interior_solvable(pi).ok
+        with pytest.raises(NotInteriorSolvableError, match="Z-"):
+            st.lipschitz_constant(pi)
+
 
 class TestSolveCounts:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -239,6 +250,13 @@ class TestSolveCounts:
         # Slater LP, the solve, 2n recession LPs, 2n probes of Z-
         rp = random_feasible_instance(rng, n=n)
         st.ValueLipschitzChecker(rp)
+        assert lp_solve_calls[0] == 2 + 4 * n
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lipschitz_constant_solves_each_lp_once(self, rng, lp_solve_calls, n):
+        # the check's solve of the canonical problem also gives nu
+        pi = robust_counterpart(random_feasible_instance(rng, n=n))
+        st.lipschitz_constant(pi)
         assert lp_solve_calls[0] == 2 + 4 * n
 
 
