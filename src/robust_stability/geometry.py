@@ -204,40 +204,29 @@ def dist_origin_to_hset(H: HSet) -> float:
     return float(np.linalg.norm(x))
 
 
-def contains_origin_interior(P: Polytope, tol: float = None):
+def contains_origin_interior(P: Polytope):
     """(inside, margin): is there r > 0 with ball(0, r) inside conv(P)?
 
-    margin is the probe-LP relaxation value: the smallest, over directions
-    +/- e_i, of the largest r with r*d in conv(P).  Positive iff the origin is
-    interior (a full cross-polytope neighborhood exists iff the origin is
-    interior to a full-dimensional hull).
+    margin is the smallest, over directions d = +/- e_i, of the largest r with
+    r*d in conv(P).  The probe LPs run on the polar system of the inradius:
+    by LP duality, for an interior origin
+
+        max{r : r*d in conv(P)} = 1 / max{<d, y> : <v, y> <= 1, v in P},
+
+    and the right-hand maximum is unbounded for some d exactly when the
+    origin is not interior (the vertices do not positively span R^dim).
     """
-    if tol is None:
-        tol = default_tolerances().feasibility
-    W = P.vertices
-    k, d = W.shape
-    r_cap = float(np.max(np.linalg.norm(W, axis=1))) + 1.0
+    tol = default_tolerances().feasibility
+    rows = [(-v, -1.0) for v in P.vertices]
     margin = np.inf
-    for i in range(d):
+    for i in range(P.dim):
         for s in (1.0, -1.0):
-            direction = np.zeros(d)
-            direction[i] = s
-            # variables (lam_1..k, r): max r s.t. W' lam = r*direction,
-            # sum lam = 1, lam >= 0, r <= cap
-            cost = np.zeros(k + 1)
-            cost[-1] = -1.0  # also the cap row's normal: -r >= -cap
-            rows = []
-            for j in range(d):
-                row = np.append(W[:, j], -direction[j])
-                rows += [(row, 0.0), (-row, 0.0)]
-            ones = np.append(np.ones(k), 0.0)
-            rows += [(ones, 1.0), (-ones, -1.0)]
-            rows += [(e, 0.0) for e in np.eye(k, k + 1)]
-            rows.append((cost, -r_cap))
+            cost = np.zeros(P.dim)
+            cost[i] = -s  # max s * y_i
             res = lpmod.solve(lpmod.LinearProgram.from_rows(cost, rows))
             if res.status != lpmod.OPTIMAL:
                 return False, 0.0
-            r_star = -res.value
+            r_star = -1.0 / res.value
             if r_star <= tol:
                 return False, 0.0
             margin = min(margin, r_star)
@@ -266,7 +255,7 @@ class Inradius(NamedTuple):
     estimated: bool
 
 
-def inradius_at_origin(P: Polytope, tol: float = None) -> Inradius:
+def inradius_at_origin(P: Polytope) -> Inradius:
     """Distance from the (interior) origin to the boundary of conv(P).
 
     Polar-circumradius identity: r* = 1 / max{||y|| : <v_i, y> <= 1 for all
@@ -275,9 +264,7 @@ def inradius_at_origin(P: Polytope, tol: float = None) -> Inradius:
     blocks.  An inradius or probe margin <= 1e-9 raises UnboundedPolarError.
     A seeded direction sweep (flagged estimated) covers dim > 4 or > 64 vertices.
     """
-    if tol is None:
-        tol = default_tolerances().feasibility
-    inside, margin = contains_origin_interior(P, tol=tol)
+    inside, margin = contains_origin_interior(P)
     if not inside:
         raise OriginNotInteriorError("origin is not strictly inside conv(P)")
     if margin <= 1e-9:
@@ -289,7 +276,7 @@ def inradius_at_origin(P: Polytope, tol: float = None) -> Inradius:
         for Y, VY in _subset_solutions(V, np.ones(k), d):
             for y in Y[(VY <= 1.0 + 1e-9).all(axis=1)]:
                 best = max(best, float(np.linalg.norm(y)))
-        if best <= tol:
+        if best <= default_tolerances().feasibility:
             raise UnboundedPolarError("polar polytope has no vertices (degenerate)")
         if 1.0 / best <= 1e-9:  # the probe margin's threshold
             raise UnboundedPolarError("origin within tolerance of the boundary")

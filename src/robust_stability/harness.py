@@ -50,6 +50,8 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if self.perturbation_kind not in PERTURBATION_KINDS:
             raise ValueError(f"unknown perturbation kind {self.perturbation_kind!r}")
+        if not self.magnitude_schedule:
+            raise ValueError("magnitude schedule must not be empty")
         if any(m <= 0 for m in self.magnitude_schedule):
             raise ValueError("magnitudes must be positive")
 
@@ -394,6 +396,8 @@ def _experiment_config(data: dict, args) -> ExperimentConfig:
     if "perturbation" in data:
         kwargs["perturbation_kind"] = data["perturbation"]
     if "magnitudes" in data:
+        if not isinstance(data["magnitudes"], list):
+            raise SchemaError('"magnitudes" must be a list of numbers')
         kwargs["magnitude_schedule"] = tuple(float(m) for m in data["magnitudes"])
     if "epsilon" in data:
         kwargs["epsilon"] = float(data["epsilon"])
@@ -584,3 +588,7 @@ def cli(argv=None) -> int:
 
 def main():
     sys.exit(cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -125,6 +125,8 @@ def _sampled_sup(U, V, rho, plan, b=None):
     With b given, index points t in R^n stand for the rows (t, b); otherwise
     they are already stacked (a, b) rows.
     """
+    if not rho > 0:
+        raise ValueError("rho must be positive")
     gaps = []
     for ts, in_u, in_v, proj_u, proj_v in _sample_index_points(U, V, plan):
         if b is not None:

@@ -256,19 +256,22 @@ class TestInradius:
         assert time.perf_counter() - start < 5.0
 
 
-def loop_inradius_best(V):
-    """max ||y|| over vertices of {y : V y <= 1}: one solve per d-subset."""
+def loop_polar_vertices(V):
+    """Vertices of {y : V y <= 1}: one solve per d-subset."""
     k, d = V.shape
     ones = np.ones(d)
-    best = 0.0
     for S in itertools.combinations(range(k), d):
         try:
             y = np.linalg.solve(V[list(S)], ones)
         except np.linalg.LinAlgError:
             continue
         if np.all(V @ y <= 1.0 + 1e-9):
-            best = max(best, float(np.linalg.norm(y)))
-    return best
+            yield y
+
+
+def loop_inradius_best(V):
+    """max ||y|| over vertices of {y : V y <= 1}."""
+    return max((float(np.linalg.norm(y)) for y in loop_polar_vertices(V)), default=0.0)
 
 
 def loop_hrep_vertices(rows, dim, tol=1e-8):
@@ -316,7 +319,7 @@ class TestBatchedSubsetsMatchLoop:
         V = np.array([[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0], [0.0, 0.0]])
         assert loop_inradius_best(V) == 0.0
         monkeypatch.setattr(
-            geo, "contains_origin_interior", lambda P, tol=None: (True, 1.0)
+            geo, "contains_origin_interior", lambda P: (True, 1.0)
         )
         with pytest.raises(UnboundedPolarError):
             geo.inradius_at_origin(geo.Polytope(V))
@@ -357,7 +360,55 @@ class TestBatchedSubsetsMatchLoop:
         assert geo.enumerate_hrep_vertices(rows, 2) == loop_hrep_vertices(rows, 2) == []
 
 
+# Z- of a degenerate benchmark instance (constants-sweep generator, seed 6,
+# item 1467, slack row appended, rows canonicalised): +/- e_i, the slack
+# row's zero vertex, eight uncertain rows and -c.  Its true margin is 1 and
+# its inradius 1/2; a convex-combination probe LP misread three of its eight
+# directions and rejected it.
+DEGENERATE_ZMINUS = [
+    [-1.0, 0.0, 0.0, 0.0],
+    [-0.4180416769848775, 0.2639466115581165, -0.9321791835840731, -0.3367509506406745],
+    [-0.13072618601517255, 0.7797229011732361, 0.15877670079036119, -0.5129238667051501],
+    [-0.12794232935357658, -0.43360213722363333, 0.6856998156856458, 0.6592353214103803],
+    [-0.12425564333758368, 0.7665222399663687, 0.17201705905020637, -0.5757195102414432],
+    [-0.040711449661847254, -0.2409634917933486, 0.6597190423772796, 0.7983288358619322],
+    [0.0, -1.0, 0.0, 0.0],
+    [0.0, 0.0, -1.0, 0.0],
+    [0.0, 0.0, 0.0, -1.0],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0],
+    [0.0, 0.0, 1.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0],
+    [0.012729952160493968, 0.9104679279158303, 0.2165396724677046, -0.5617424602333951],
+    [0.05626750542619466, -0.3931063175524927, 0.7008520615513407, 0.6622222885143186],
+    [0.10232680500131494, 1.0039342915933915, 0.20101391124517962, -0.555906657078542],
+    [1.0, 0.0, 0.0, 0.0],
+    [-1.5333462995161133, 0.08581838820042374, -0.23495699218093252, -1.034590390105616],
+]
+
+
 class TestContainsOriginInterior:
+    def test_degenerate_zminus(self):
+        P = geo.Polytope(DEGENERATE_ZMINUS)
+        inside, margin = geo.contains_origin_interior(P)
+        assert inside and abs(margin - 1.0) <= 1e-12
+        assert geo.inradius_at_origin(P) == (0.5, False)
+
+    def test_margin_is_polar_bound(self, rng):
+        # margin = min over +/- e_i of 1 / max <+/- e_i, y> on the polar body
+        cases = list(TestBatchedSubsetsMatchLoop.polytopes(rng))
+        for _ in range(60):
+            d = int(rng.integers(1, 5))
+            Q = rng.normal(size=(d, d))  # rows and negatives span R^d positively
+            V = np.vstack([Q, -Q * rng.uniform(0.2, 2.0, size=(d, 1))])
+            extra = rng.normal(size=(int(rng.integers(0, 8)), d))
+            cases.append(geo.Polytope(np.vstack([V, extra])))
+        for P in cases:
+            inside, margin = geo.contains_origin_interior(P)
+            assert inside
+            want = 1.0 / max(np.max(np.abs(y)) for y in loop_polar_vertices(P.vertices))
+            assert margin == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_square(self):
         inside, margin = geo.contains_origin_interior(
             geo.Polytope([[1, 1], [1, -1], [-1, 1], [-1, -1]])

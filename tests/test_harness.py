@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +138,8 @@ class TestSuites:
             hn.ExperimentConfig(perturbation_kind="nope")
         with pytest.raises(ValueError):
             hn.ExperimentConfig(magnitude_schedule=(0.0,))
+        with pytest.raises(ValueError, match="empty"):
+            hn.ExperimentConfig(magnitude_schedule=())
 
 
 class TestCoupleProject:
@@ -291,3 +297,41 @@ class TestCli:
         code, rep = self.run([], capsys)
         assert code == 1
         assert rep["error"] == "usage"
+
+    @pytest.mark.parametrize("command", ["perturb", "converge"])
+    def test_empty_magnitudes_exit_1(self, tmp_path, capsys, command):
+        code, rep = self.run([command, toy_config(tmp_path, magnitudes=[])], capsys)
+        assert code == 1
+        assert rep["error"] == "SchemaError" and "empty" in rep["message"]
+
+    def test_scalar_magnitudes_exit_1(self, tmp_path, capsys):
+        code, rep = self.run(["perturb", toy_config(tmp_path, magnitudes=0.1)], capsys)
+        assert code == 1
+        assert rep["error"] == "SchemaError" and "magnitudes" in rep["message"]
+
+    def test_transform_check_negative_rho_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "tc.json"
+        cfg.write_text(json.dumps(
+            {"problemU": toy_problem_dict(), "problemV": toy_problem_dict(), "rho": -1}
+        ))
+        code, rep = self.run(["transform-check", str(cfg)], capsys)
+        assert code == 1
+        assert rep["error"] == "ValueError" and "rho" in rep["message"]
+
+
+def test_module_entry_point(tmp_path):
+    """python -m robust_stability.harness runs the CLI."""
+    root = Path(__file__).resolve().parents[1]
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps(toy_problem_dict()))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "robust_stability.harness", "solve", str(prob)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["command"] == "solve" and rep["status"] == "optimal"

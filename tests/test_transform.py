@@ -81,6 +81,11 @@ class TestVerifyTransformDistance:
                 unit_square(), Polytope([[0.0], [1.0]]), b=0.0, rho=1.0
             )
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0])
+    def test_rho_must_be_positive(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            tf.verify_transform_distance(unit_square(), unit_square(), b=0.0, rho=rho)
+
     def test_random_pairs(self, rng):
         for _ in range(20):
             U = random_polytope(rng, 2, max_vertices=5)
@@ -143,6 +148,12 @@ class TestVerifyTransformDistanceMulti:
         rp2 = RobustProblem(constraint_sets=sets, cost=rp.cost)
         with pytest.raises(IndexMismatchError):
             tf.verify_transform_distance_multi(rp, rp2, rho=0.5, plan=LEAN_PLAN)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0])
+    def test_rho_must_be_positive(self, rng, rho):
+        rp = random_feasible_instance(rng, n=2)
+        with pytest.raises(ValueError, match="rho"):
+            tf.verify_transform_distance_multi(rp, rp, rho=rho, plan=LEAN_PLAN)
 
     def test_single_constraint_matches_pairwise_bound(self, rng):
         """With one uncertain set, the multi bound is that set's Hausdorff
