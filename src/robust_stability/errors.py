@@ -61,10 +61,6 @@ class HypothesisViolatedError(RobustStabilityError):
     """A theorem hypothesis failed; the message names the failing item."""
 
 
-class DimensionTooHighError(RobustStabilityError):
-    pass
-
-
 class ShapeMismatchError(RobustStabilityError):
     pass
 

@@ -10,6 +10,7 @@ but no timestamps, so identical inputs give byte-identical output.
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -383,26 +384,40 @@ def _resolve_problem(source, what="problem"):
     raise SchemaError(f"{what} must be a path or an inline object")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _field(data: dict, key: str, kind: str):
+    """data[key] if it is `kind` ("a number", "an integer" or "a list of
+    numbers"), as a float, int or tuple of floats; SchemaError otherwise.
+    Ranges are checked by the object the value is handed to."""
+    value = data[key]
+    if kind == "a number" and _is_number(value):
+        return float(value)
+    if kind == "an integer" and isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if kind == "a list of numbers" and isinstance(value, list) and all(map(_is_number, value)):
+        return tuple(float(v) for v in value)
+    raise SchemaError(f'"{key}" must be {kind}')
+
+
 def _experiment_config(data: dict, args) -> ExperimentConfig:
     kwargs = {}
-    if "seed" in data:
-        kwargs["seed"] = int(data["seed"])
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if "trials" in data:
-        kwargs["trials"] = int(data["trials"])
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
+    for key, name, kind in (
+        ("seed", "seed", "an integer"),
+        ("trials", "trials", "an integer"),
+        ("magnitudes", "magnitude_schedule", "a list of numbers"),
+        ("epsilon", "epsilon", "a number"),
+    ):
+        if key in data:
+            kwargs[name] = _field(data, key, kind)
     if "perturbation" in data:
         kwargs["perturbation_kind"] = data["perturbation"]
-    if "magnitudes" in data:
-        if not isinstance(data["magnitudes"], list):
-            raise SchemaError('"magnitudes" must be a list of numbers')
-        kwargs["magnitude_schedule"] = tuple(float(m) for m in data["magnitudes"])
-    if "epsilon" in data:
-        kwargs["epsilon"] = float(data["epsilon"])
-    if args.eps is not None:
-        kwargs["epsilon"] = args.eps
+    flags = (("seed", args.seed), ("trials", args.trials), ("epsilon", args.eps))
+    for name, value in flags:
+        if value is not None:
+            kwargs[name] = value
     try:
         return ExperimentConfig(**kwargs)
     except ValueError as exc:
@@ -495,8 +510,10 @@ def _cmd_transform_check(args):
             raise SchemaError(f'transform-check config needs "{key}"')
     rpU = _resolve_problem(data["problemU"], "problemU")
     rpV = _resolve_problem(data["problemV"], "problemV")
-    seed = args.seed if args.seed is not None else int(data.get("seed", 0))
-    rho = float(data.get("rho", 0) or 0) or None
+    seed = _field(data, "seed", "an integer") if "seed" in data else 0
+    if args.seed is not None:
+        seed = args.seed
+    rho = _field(data, "rho", "a number") if "rho" in data else None
     if rho is None:
         cert = lpmod.slater_constant(
             [(r.a, r.b) for r in robust_counterpart(rpU).rows]
@@ -516,11 +533,8 @@ def _cmd_epsopt_check(args):
             raise SchemaError(f'epsopt-check config needs "{key}"')
     rpU = _resolve_problem(data["problemU"], "problemU")
     rpV = _resolve_problem(data["problemV"], "problemV")
-    eps = args.eps if args.eps is not None else float(data["eps"])
-    kwargs = {}
-    for key in ("eta", "r", "r0"):
-        if key in data:
-            kwargs[key] = float(data[key])
+    eps = args.eps if args.eps is not None else _field(data, "eps", "a number")
+    kwargs = {k: _field(data, k, "a number") for k in ("eta", "r", "r0") if k in data}
     rep = check_eps_argmin_lipschitz(rpU, rpV, eps=eps, **kwargs)
     report = {"command": "epsopt-check", **rep.to_dict()}
     return report, 0 if rep.passed else 2

@@ -1,10 +1,14 @@
 """Dense LP solver and LP-derived checks.
 
 Problems are ``min <c, x>  s.t.  <a_t, x> >= b_t`` with x free.  The solver is
-a two-phase tableau simplex with Bland's anti-cycling rule; it is deliberately
-dense and deterministic (identical inputs give identical outputs, bit for
-bit).  Optimal results carry dual weights, infeasible results carry Farkas
-weights, and both certificates are verified in the test suite.
+a dense tableau simplex with Bland's anti-cycling rule that starts from the
+slack basis: rows with b_t <= 0 are feasible at x = 0, so only rows with
+b_t > 0 get an artificial variable, and phase 1 runs only when such a row
+exists.  Optimal results carry dual weights and infeasible results Farkas
+weights; both are the reduced costs of the slack columns in the final
+tableau.  Every result is checked on the original data before it is
+returned.  The solver is deterministic: identical inputs give identical
+outputs, bit for bit.
 """
 
 import numpy as np
@@ -23,6 +27,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-9
+_CHECK_TOL = 1e-7
 _SLATER_CAP = 1e6
 
 
@@ -49,7 +54,7 @@ class LinearProgram:
 
     def __post_init__(self):
         for arr in (self.cost, self.a_matrix, self.rhs):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError("LP data must be finite")
         if self.a_matrix.ndim != 2 or self.a_matrix.shape[1] != self.cost.shape[0]:
             raise DimensionMismatchError(
@@ -87,143 +92,125 @@ def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
+    T -= colvals[:, None] * T[row]
     # re-sparsify the pivot column exactly
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
 
 
-def _pivot_loop(T, basis, candidate_cols, tol, max_iter, bounded=False):
-    """Run simplex pivots until optimal or an unbounded column is found.
+def _pivot_loop(T, basis, ncols, max_iter, bounded=False):
+    """Pivot until no column below `ncols` prices out; return -1, or the
+    entering column of an unbounded ray.
 
-    Returns ("optimal", -1) or ("unbounded", entering_col).  Bland's rule:
-    entering column = smallest eligible index, leaving row breaks ratio ties
-    by smallest basis index.  With bounded=True (phase 1, whose objective
-    cannot be unbounded) a column with no eligible leaving row is numerical
-    noise and is skipped instead of reported.
+    Bland's rule: entering column = smallest index with a negative reduced
+    cost, leaving row = smallest ratio, ties broken by smallest basis index.
+    With bounded=True (phase 1, whose objective cannot be unbounded) a column
+    with no eligible leaving row is numerical noise and is skipped.
     """
     for _ in range(max_iter):
-        obj = T[-1]
-        pivoted = False
-        for enter in candidate_cols:
-            if obj[enter] >= -tol:
-                continue
+        for enter in (T[-1, :ncols] < -_PIVOT_TOL).nonzero()[0]:
             col = T[:-1, enter]
-            leave = -1
-            best_ratio = np.inf
-            for i in range(col.shape[0]):
-                if col[i] > tol:
-                    ratio = T[i, -1] / col[i]
-                    if ratio < best_ratio - tol or (
-                        abs(ratio - best_ratio) <= tol
-                        and (leave < 0 or basis[i] < basis[leave])
-                    ):
-                        best_ratio = ratio
-                        leave = i
-            if leave < 0:
+            rows = (col > _PIVOT_TOL).nonzero()[0]
+            if not rows.size:
                 if bounded:
                     continue
-                return "unbounded", enter
-            _pivot(T, basis, leave, enter)
-            pivoted = True
+                return int(enter)
+            ratios = T[rows, -1] / col[rows]
+            ties = rows[ratios <= ratios.min() + _PIVOT_TOL]
+            _pivot(T, basis, ties[basis[ties].argmin()], enter)
             break
-        if not pivoted:
-            return "optimal", -1
+        else:
+            return -1
     raise IterationLimitError("simplex iteration limit reached")
+
+
+def _checked(ok, what):
+    if not ok:
+        raise NumericalBreakdownError(f"simplex result fails its {what} check")
 
 
 def solve(lp: LinearProgram, tol: float = None) -> SolveResult:
     """Solve the LP, classifying optimal / infeasible / unbounded.
 
-    Optimal results satisfy primal feasibility, dual feasibility, and
-    complementary slackness to within 1e-8 (verified by tests); infeasible
-    results carry Farkas weights w >= 0 with A'w = 0 and b'w > 0.
+    Every result is checked on the original data before it is returned, and
+    NumericalBreakdownError is raised when a check fails: an optimal x and
+    its duals w >= 0 satisfy primal and dual feasibility and close the
+    duality gap, an unbounded ray is a recession direction of descent, and
+    infeasible results carry Farkas weights w >= 0 with A'w = 0, b'w > 0.
     """
     if tol is None:
         tol = default_tolerances().feasibility
     n, m = lp.n, lp.m
+    A, b, c = lp.a_matrix, lp.rhs, lp.cost
     if m == 0:
-        if np.all(lp.cost == 0.0):
+        if not c.any():
             return SolveResult(OPTIMAL, 0.0, np.zeros(n), np.zeros(0))
         return SolveResult(UNBOUNDED, -np.inf, None, None)
 
-    # standard form: x = u - v, slack s: [A, -A, -I] z = b, z >= 0
-    sign = np.where(lp.rhs < 0.0, -1.0, 1.0)
-    M = np.hstack([lp.a_matrix, -lp.a_matrix, -np.eye(m)]) * sign[:, None]
-    rhs = lp.rhs * sign
+    # standard form x = u - v, slack s >= 0: [A, -A, -I] z = b.  Rows with
+    # b <= 0 are negated so that their slack column is +e_i and starts basic;
+    # only rows with b > 0 get an artificial column.
+    positive = b > 0.0
+    art = positive.nonzero()[0]
+    sign = np.where(positive, 1.0, -1.0)
     N = 2 * n + m
+    slack = slice(2 * n, N)
+    basis = np.arange(2 * n, N)
+    basis[art] = N + np.arange(art.size)
+    T = np.zeros((m + 1, N + art.size + 1))
+    T[:m, :n] = sign[:, None] * A
+    T[:m, n : 2 * n] = -T[:m, :n]
+    T[np.arange(m), basis] = 1.0
+    T[art, art + 2 * n] = -1.0
+    T[:m, -1] = np.abs(b)
     max_iter = 2000 + 200 * (m + N)
 
-    T = np.zeros((m + 1, N + m + 1))
-    T[:m, :N] = M
-    T[:m, N : N + m] = np.eye(m)
-    T[:m, -1] = rhs
-    basis = [N + i for i in range(m)]
+    if art.size:
+        # phase 1: minimize the sum of the artificials
+        T[-1, :N] = -T[art, :N].sum(axis=0)
+        T[-1, -1] = -T[art, -1].sum()
+        _pivot_loop(T, basis, N, max_iter, bounded=True)
+        if T[-1, -1] < -max(tol, 1e-8) * max(1.0, np.abs(b).max()):
+            # Farkas weights: the slack reduced costs of the phase-1 optimum
+            w = np.maximum(T[-1, slack], 0.0)
+            residual = np.abs(A.T @ w).max(initial=0.0)
+            noise = _CHECK_TOL * np.abs(A).max(initial=0.0) * w.sum()
+            _checked(residual <= noise and b @ w > 0.0, "Farkas")
+            return SolveResult(INFEASIBLE, np.inf, None, w)
+        # an artificial left basic (at level ~0) leaves for its own row's
+        # slack, whose column is the negated artificial column: entry -1
+        for pos in (basis >= N).nonzero()[0]:
+            _pivot(T, basis, pos, 2 * n + art[basis[pos] - N])
 
-    # phase 1: minimize sum of artificials (all basic initially)
-    T[-1] = -T[:m].sum(axis=0)
-    T[-1, N : N + m] = 0.0
-    status, _ = _pivot_loop(T, basis, range(N), _PIVOT_TOL, max_iter, bounded=True)
-    if status != "optimal":
-        raise NumericalBreakdownError("phase-1 objective unbounded (impossible)")
-    if T[-1, -1] < -max(tol, 1e-8) * max(1.0, np.abs(rhs).max()):
-        # infeasible; phase-1 duals give Farkas weights for the original rows
-        y = 1.0 - T[-1, N : N + m]
-        farkas = np.maximum(sign * y, 0.0)
-        return SolveResult(INFEASIBLE, np.inf, None, farkas)
-
-    # drive leftover artificials out of the basis; drop redundant rows
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        pos = basis.index(N + i) if (N + i) in basis else -1
-        if pos < 0:
-            continue
-        entry = np.flatnonzero(np.abs(T[pos, :N]) > _PIVOT_TOL)
-        if entry.size:
-            _pivot(T, basis, pos, int(entry[0]))
-        else:
-            keep[pos] = False  # redundant row; tableau rows track input rows
-    if not keep.all():
-        rows = np.flatnonzero(keep)
-        T = np.vstack([T[rows], T[-1:]])
-        basis = [basis[i] for i in rows]
-    kept = np.flatnonzero(keep)
-
-    # phase 2
-    cost_full = np.zeros(T.shape[1])
-    cost_full[:n] = lp.cost
-    cost_full[n : 2 * n] = -lp.cost
-    T[-1] = cost_full
-    for i, bi in enumerate(basis):
-        if cost_full[bi] != 0.0:
-            T[-1] -= cost_full[bi] * T[i]
-    status, _ = _pivot_loop(T, basis, range(N), _PIVOT_TOL, max_iter)
-    if status == "unbounded":
+    # phase 2, over the structural and slack columns only
+    T[-1] = 0.0
+    T[-1, :n] = c
+    T[-1, n : 2 * n] = -c
+    T[-1] -= T[-1, basis] @ T[:m]
+    enter = _pivot_loop(T, basis, N, max_iter)
+    z = np.zeros(T.shape[1] - 1)
+    if enter >= 0:
+        z[enter] = 1.0
+        z[basis] = -T[:m, enter]
+        d = z[:n] - z[n : 2 * n]
+        noise = _CHECK_TOL * np.abs(A).sum(axis=1) * np.abs(d).max()
+        _checked((A @ d >= -noise).all() and c @ d < 0.0, "unbounded-ray")
         return SolveResult(UNBOUNDED, -np.inf, None, None)
 
-    x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] += T[i, -1]
-        elif bi < 2 * n:
-            x[bi - n] -= T[i, -1]
-    value = float(lp.cost @ x)
-
-    # duals for the kept rows via B' y = c_B over the original standard form
-    full = np.zeros((m, N + m))
-    full[:, :N] = M
-    full[:, N : N + m] = np.eye(m)
-    B = full[kept][:, basis]
-    c_b = cost_full[list(basis)]
-    try:
-        y = np.linalg.solve(B.T, c_b)
-    except np.linalg.LinAlgError:
-        y, *_ = np.linalg.lstsq(B.T, c_b, rcond=None)
-    duals = np.zeros(m)
-    duals[kept] = sign[kept] * y
-    duals = np.maximum(duals, 0.0)
-    return SolveResult(OPTIMAL, value, x, duals)
+    z[basis] = T[:m, -1]
+    x = z[:n] - z[n : 2 * n]
+    # duals: the slack reduced costs of the phase-2 optimum
+    w = np.maximum(T[-1, slack], 0.0)
+    value = float(c @ x)
+    absA, absx = np.abs(A), np.abs(x)
+    primal_noise = _CHECK_TOL * (1.0 + np.abs(b) + absA @ absx)
+    _checked((b - A @ x <= primal_noise).all(), "primal")
+    dual_noise = _CHECK_TOL * (1.0 + np.abs(c) + absA.T @ w)
+    _checked((np.abs(A.T @ w - c) <= dual_noise).all(), "dual")
+    gap_noise = _CHECK_TOL * (1.0 + np.abs(c) @ absx + np.abs(b) @ w)
+    _checked(abs(value - b @ w) <= gap_noise, "duality-gap")
+    return SolveResult(OPTIMAL, value, x, w)
 
 
 def slater_constant(rows, cap: float = _SLATER_CAP, tol: float = None):
@@ -231,21 +218,27 @@ def slater_constant(rows, cap: float = _SLATER_CAP, tol: float = None):
 
     Solves max rho s.t. <a_t, x> >= b_t + rho, rho <= cap, over (x, rho).
     Returns a SlaterCertificate, or None when rho* <= 0 (no strict slack).
+    The LP is written in rho = rho0 + rho' with rho0 = min(cap, min_t -b_t),
+    so that every rhs is <= 0 and the simplex starts feasible.
     """
     if tol is None:
         tol = default_tolerances().feasibility
     rows = list(rows)
     if not rows:
         raise ValueError("slater_constant needs at least one row")
-    n = np.asarray(rows[0][0], dtype=float).shape[0]
-    aug_rows = [(np.append(np.asarray(a, dtype=float), -1.0), float(b)) for a, b in rows]
-    aug_rows.append((np.append(np.zeros(n), -1.0), -cap))
+    A = np.array([a for a, _ in rows], dtype=float)
+    b = np.array([bt for _, bt in rows], dtype=float)
+    m, n = A.shape
+    rho0 = min(cap, float(-b.max()))
+    aug = np.full((m + 1, n + 1), -1.0)
+    aug[:m, :n] = A
+    aug[m, :n] = 0.0
     cost = np.zeros(n + 1)
     cost[-1] = -1.0
-    res = solve(LinearProgram.from_rows(cost, aug_rows))
+    res = solve(LinearProgram(cost, aug, np.append(b + rho0, rho0 - cap)), tol)
     if res.status != OPTIMAL:
         raise NumericalBreakdownError(f"slater LP status {res.status}")
-    rho = -res.value
+    rho = rho0 - res.value
     if rho <= tol:
         return None
     return SlaterCertificate(

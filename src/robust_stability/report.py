@@ -1,7 +1,5 @@
 """Machine-readable outcome of a single stability check."""
 
-import json
-
 import numpy as np
 from dataclasses import dataclass, field
 
@@ -37,9 +35,6 @@ class CertificateReport:
             "passed": self.passed,
             "context": _jsonable(self.context),
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
 def _jsonable(obj):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from robust_stability import geometry as geo
+from robust_stability import lp
 from robust_stability.errors import (
     DimensionMismatchError,
     OriginNotInteriorError,
@@ -393,6 +394,28 @@ class TestContainsOriginInterior:
         inside, margin = geo.contains_origin_interior(P)
         assert inside and abs(margin - 1.0) <= 1e-12
         assert geo.inradius_at_origin(P) == (0.5, False)
+
+    def test_degenerate_zminus_convex_combination_lp(self):
+        # The convex-combination form of the same probe: max r s.t.
+        # W' lam = r * dir, sum lam = 1, lam >= 0, r <= cap.  Its rows with
+        # rhs 1 need phase 1, and every direction has optimum r = 1.
+        W = np.array(DEGENERATE_ZMINUS)
+        k, d = W.shape
+        r_cap = float(np.max(np.linalg.norm(W, axis=1))) + 1.0
+        cost = np.zeros(k + 1)
+        cost[-1] = -1.0
+        ones = np.append(np.ones(k), 0.0)
+        for i, s in itertools.product(range(d), (1.0, -1.0)):
+            rows = []
+            for j in range(d):
+                row = np.append(W[:, j], -s * (i == j))
+                rows += [(row, 0.0), (-row, 0.0)]
+            rows += [(ones, 1.0), (-ones, -1.0)]
+            rows += [(e, 0.0) for e in np.eye(k, k + 1)]
+            rows.append((cost, -r_cap))
+            res = lp.solve(lp.LinearProgram.from_rows(cost, rows))
+            assert res.status == lp.OPTIMAL
+            assert res.value == pytest.approx(-1.0, abs=1e-12)
 
     def test_margin_is_polar_bound(self, rng):
         # margin = min over +/- e_i of 1 / max <+/- e_i, y> on the polar body

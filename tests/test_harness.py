@@ -318,6 +318,32 @@ class TestCli:
         assert code == 1
         assert rep["error"] == "ValueError" and "rho" in rep["message"]
 
+    @pytest.mark.parametrize(
+        "command, field, value, error",
+        [
+            ("perturb", "magnitudes", [None], "SchemaError"),
+            ("perturb", "trials", None, "SchemaError"),
+            ("perturb", "trials", 2.7, "SchemaError"),
+            ("converge", "seed", "7", "SchemaError"),
+            ("perturb", "epsilon", True, "SchemaError"),
+            ("epsopt-check", "eps", None, "SchemaError"),
+            ("epsopt-check", "r", [1], "SchemaError"),
+            ("transform-check", "rho", 0, "ValueError"),
+            ("transform-check", "seed", 1.5, "SchemaError"),
+        ],
+    )
+    def test_bad_field_exits_1(self, tmp_path, capsys, command, field, value, error):
+        if command in ("perturb", "converge"):
+            cfg = json.loads(Path(toy_config(tmp_path)).read_text())
+        else:
+            cfg = {"problemU": toy_problem_dict(), "problemV": toy_problem_dict(), "eps": 0.1}
+        cfg[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code, rep = self.run([command, str(path)], capsys)
+        assert code == 1
+        assert rep["error"] == error and field in rep["message"]
+
 
 def test_module_entry_point(tmp_path):
     """python -m robust_stability.harness runs the CLI."""

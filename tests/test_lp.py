@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from robust_stability import lp
-from robust_stability.errors import DimensionMismatchError
+from robust_stability.errors import DimensionMismatchError, NumericalBreakdownError
+
+import rational_simplex
 
 
 def _lp(cost, rows):
@@ -36,6 +38,14 @@ class TestSolve:
     def test_no_rows(self):
         assert lp.solve(_lp([0.0, 0.0], [])).status == lp.OPTIMAL
         assert lp.solve(_lp([1.0], [])).status == lp.UNBOUNDED
+
+    def test_no_variables(self):
+        # rows <0, x> >= b over an empty x: feasible iff every b <= 0
+        feasible = lp.LinearProgram(np.zeros(0), np.zeros((1, 0)), np.array([-1.0]))
+        assert lp.solve(feasible).status == lp.OPTIMAL
+        infeasible = lp.LinearProgram(np.zeros(0), np.zeros((2, 0)), np.array([0.0, 2.0]))
+        res = lp.solve(infeasible)
+        assert res.status == lp.INFEASIBLE and res.dual_weights @ infeasible.rhs > 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -80,6 +90,104 @@ class TestSolve:
                 assert r1.dual_weights.tobytes() == r2.dual_weights.tobytes()
                 solved += 1
         assert solved > 0
+
+
+class TestCertificates:
+    """Certificates read off the final tableau, checked on the original data."""
+
+    def test_farkas_mixed_sign_rhs(self, rng):
+        # <a, x> >= 1 and <-a, x> >= 0 clash; the other rows have either sign
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            a = rng.normal(size=n)
+            A = np.vstack([a, -a, rng.normal(size=(int(rng.integers(1, 6)), n))])
+            b = np.concatenate([[1.0, 0.0], rng.normal(size=A.shape[0] - 2)])
+            res = lp.solve(_lp(rng.normal(size=n), list(zip(A, b))))
+            assert res.status == lp.INFEASIBLE
+            w = res.dual_weights
+            assert np.all(w >= 0)
+            assert np.abs(A.T @ w).max() <= 1e-8 * max(1.0, w.sum())
+            assert b @ w > 1e-10
+
+    def test_duals_without_artificials(self, rng, monkeypatch):
+        # every b <= 0: x = 0 is feasible, so only phase 2 runs
+        phases = []
+        real_loop = lp._pivot_loop
+
+        def loop(*args, bounded=False):
+            phases.append(1 if bounded else 2)
+            return real_loop(*args, bounded=bounded)
+
+        monkeypatch.setattr(lp, "_pivot_loop", loop)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            box = np.vstack([np.eye(n), -np.eye(n)])
+            A = np.vstack([rng.normal(size=(int(rng.integers(0, 6)), n)), box])
+            b = -rng.uniform(0.0, 3.0, size=A.shape[0])
+            c = rng.normal(size=n)
+            phases.clear()
+            res = lp.solve(_lp(c, list(zip(A, b))))
+            assert phases == [2]
+            assert res.status == lp.OPTIMAL
+            x, w = res.solution, res.dual_weights
+            assert np.all(w >= 0)
+            assert np.max(b - A @ x) <= 1e-9
+            assert np.abs(A.T @ w - c).max() <= 1e-9
+            assert abs(b @ w - res.value) <= 1e-9
+            assert np.abs(w * (A @ x - b)).max() <= 1e-9
+
+    def test_rational_agreement_nonpositive_rhs(self, rng):
+        for _ in range(150):
+            n = int(rng.integers(1, 4))
+            m = int(rng.integers(1, 6))
+            A = rng.integers(-3, 4, size=(m, n))
+            b = rng.integers(-3, 1, size=m)
+            c = rng.integers(-3, 4, size=n)
+            rows = list(zip(A.astype(float), b.astype(float)))
+            res = lp.solve(_lp(c.astype(float), rows))
+            status, value = rational_simplex.solve_status(
+                c.tolist(), list(zip(A.tolist(), b.tolist()))
+            )
+            assert res.status == status
+            if status == lp.OPTIMAL:
+                assert res.value == pytest.approx(float(value), abs=1e-9)
+
+    def test_artificials_left_basic(self):
+        # x >= 1 twice and x <= 1: phase 1 ends with artificials basic at 0,
+        # which must leave the basis before phase 2
+        A = np.array([[1.0], [1.0], [-1.0]])
+        b = np.array([1.0, 1.0, -1.0])
+        res = lp.solve(_lp([1.0], list(zip(A, b))))
+        assert res.status == lp.OPTIMAL
+        assert res.value == 1.0 and res.solution.tolist() == [1.0]
+        w = res.dual_weights
+        assert np.all(w >= 0) and A.T @ w == pytest.approx([1.0]) and b @ w == 1.0
+
+    @staticmethod
+    def _corrupt_loop(monkeypatch, corrupt):
+        real_loop = lp._pivot_loop
+
+        def loop(T, *args, **kw):
+            return corrupt(T, real_loop(T, *args, **kw))
+
+        monkeypatch.setattr(lp, "_pivot_loop", loop)
+
+    def test_self_check_rejects_bad_optimum(self, monkeypatch):
+        def shift_basic_values(T, enter):
+            T[:-1, -1] += 0.5
+            return enter
+
+        self._corrupt_loop(monkeypatch, shift_basic_values)
+        prob = _lp([1.0, 1.0], [([1.0, 0.0], -1.0), ([0.0, 1.0], -1.0)])
+        with pytest.raises(NumericalBreakdownError):
+            lp.solve(prob)
+
+    def test_self_check_rejects_bad_ray(self, monkeypatch):
+        # claim that the first column prices out with no blocking row
+        self._corrupt_loop(monkeypatch, lambda T, enter: 0)
+        prob = _lp([-1.0], [([-1.0], -1.0)])  # min -x s.t. x <= 1
+        with pytest.raises(NumericalBreakdownError):
+            lp.solve(prob)
 
 
 class TestSlater:
