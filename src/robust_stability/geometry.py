@@ -165,28 +165,49 @@ def project_onto_polytope(p, P: Polytope):
     """Euclidean projection of p onto conv(P); returns (q, dist).
 
     Unique by strict convexity; optimality is certified by the Frank-Wolfe
-    gap inside min_norm_point.
+    gap inside min_norm_point.  A one-vertex set needs no Wolfe call: Wolfe
+    would return its start point, the same row.
     """
     p = np.asarray(p, dtype=float)
     if p.shape[0] != P.dim:
         raise DimensionMismatchError(
             f"point dimension {p.shape[0]} != polytope dimension {P.dim}"
         )
-    x, _ = min_norm_point(P.vertices - p)
+    x = P.vertices[0] - p if len(P.vertices) == 1 else min_norm_point(P.vertices - p)[0]
     q = x + p
     return q, float(np.linalg.norm(x))
 
 
-def directed_hausdorff(U: Polytope, V: Polytope) -> float:
-    """sup_{u in U} inf_{v in V} ||u - v||; attained at a vertex of U."""
+def _scan_hausdorff(U: Polytope, V: Polytope, best: float) -> float:
+    """max(best, directed_hausdorff(U, V)) by the early break."""
     if U.dim != V.dim:
         raise DimensionMismatchError("polytopes have different dimensions")
-    return max(project_onto_polytope(u, V)[1] for u in U.vertices)
+    D = V.vertices[None, :, :] - U.vertices[:, None, :]
+    nearest = D[np.arange(len(D)), np.argmin(np.sum(D * D, axis=2), axis=1)]
+    bounds = [float(np.linalg.norm(x)) for x in nearest]
+    for i in sorted(range(len(bounds)), key=lambda i: -bounds[i]):
+        if bounds[i] < best:
+            break
+        best = max(best, project_onto_polytope(U.vertices[i], V)[1])
+    return best
+
+
+def directed_hausdorff(U: Polytope, V: Polytope) -> float:
+    """sup_{u in U} inf_{v in V} ||u - v||; attained at a vertex of U.
+
+    Early break (Taha & Hanbury, IEEE TPAMI 2015): Wolfe's projection of u
+    starts at the vertex of V nearest to u and only descends, so that
+    distance bounds u's.  Vertices are projected in descending order of the
+    bound until the next bound is strictly below the running maximum; the
+    rest cannot raise it, and ties are still projected.
+    """
+    return _scan_hausdorff(U, V, 0.0)
 
 
 def hausdorff(U: Polytope, V: Polytope) -> float:
-    """Symmetric Hausdorff distance between conv(U) and conv(V)."""
-    return max(directed_hausdorff(U, V), directed_hausdorff(V, U))
+    """Symmetric Hausdorff distance between conv(U) and conv(V); the second
+    directed scan breaks early against the first one's maximum."""
+    return _scan_hausdorff(V, U, _scan_hausdorff(U, V, 0.0))
 
 
 def dist_origin_to_hset(H: HSet) -> float:

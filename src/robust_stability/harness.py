@@ -10,7 +10,6 @@ but no timestamps, so identical inputs give byte-identical output.
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -130,10 +129,9 @@ def problem_from_dict(data: dict) -> RobustProblem:
 def _vector(v, n, what):
     if not isinstance(v, list) or len(v) != n:
         raise SchemaError(f"{what} must be a list of {n} numbers")
-    try:
-        return np.array([float(x) for x in v])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what} has a non-numeric entry") from exc
+    if not all(map(_is_number, v)):
+        raise SchemaError(f"{what} has a non-numeric entry")
+    return np.array([float(x) for x in v])
 
 
 def problem_to_dict(rp: RobustProblem) -> dict:
@@ -385,7 +383,8 @@ def _resolve_problem(source, what="problem"):
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A JSON number with a finite float value (not a boolean or a huge int)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _field(data: dict, key: str, kind: str):

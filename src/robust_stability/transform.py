@@ -6,6 +6,12 @@ to the trivial row (0, -rho) otherwise.  The distance identity says the sup of
 ||sigma_{U;V}(t) - sigma_{V;U}(t)|| over t equals d_H(U, V); because the sup
 is attained at vertices of U and V, including those deterministically in
 every sample plan turns the check into an equality test.
+
+The sampler projects an index point only where the answer is not known.  A
+vertex or convex combination of U's vertices lies in U (likewise for V), and
+sigma reads proj_U(t) only when t is not in U, so it is not projected onto
+its own set.  A point whose known memberships leave only full index regions
+is rejected without projecting onto the other set.
 """
 
 import numpy as np
@@ -32,36 +38,49 @@ class SamplePlan:
     box_margin: float = 1.0
 
 
-def _membership(t, P: Polytope):
-    """(inside, projection, dist) with the ambiguity band surfaced by dist."""
-    q, d = project_onto_polytope(t, P)
-    return d <= _MEMBERSHIP_TOL, q, d
-
-
 def eval_sigma_uv(t, U: Polytope, V: Polytope, b: float, rho: float) -> np.ndarray:
     """sigma_{U;V}(t) as a stacked (a, b) vector in R^(n+1)."""
     if rho <= 0:
         raise ValueError("rho must be positive")
     t = np.asarray(t, dtype=float)
-    in_u, proj_u, _ = _membership(t, U)
-    if in_u:
+    proj_u, du = project_onto_polytope(t, U)
+    if du <= _MEMBERSHIP_TOL:
         return np.append(t, float(b))
-    in_v, _, _ = _membership(t, V)
-    if in_v:
+    if project_onto_polytope(t, V)[1] <= _MEMBERSHIP_TOL:
         return np.append(proj_u, float(b))
     n = t.shape[0]
     return np.append(np.zeros(n), -float(rho))
 
 
-def _classify(t, U, V):
-    """Cached membership data: (in_u, in_v, proj_u, proj_v) or None if the
-    point falls inside the membership ambiguity band."""
-    proj_u, du = project_onto_polytope(t, U)
-    proj_v, dv = project_onto_polytope(t, V)
-    for d in (du, dv):
-        if _MEMBERSHIP_TOL < d <= _MEMBERSHIP_TOL + _AMBIGUITY_BAND:
-            return None
-    return du <= _MEMBERSHIP_TOL, dv <= _MEMBERSHIP_TOL, proj_u, proj_v
+def _region(in_u, in_v):
+    """Index region of SamplePlan.counts: 0 both, 1 U only, 2 V only, 3 neither."""
+    return 2 * (not in_u) + (not in_v)
+
+
+def _has_room(inside, full):
+    """Does a region allowed by the memberships (None: unknown) have room?"""
+    options = [(True, False) if m is None else (m,) for m in inside]
+    return any(not full[_region(u, v)] for u in options[0] for v in options[1])
+
+
+def _classify(t, U, V, home=None, full=(False,) * 4):
+    """Cached membership data (in_u, in_v, proj_u, proj_v), or None if t
+    falls inside the membership ambiguity band or only in full regions.  t
+    lies in `home` (0: U, 1: V) by construction and is not projected there;
+    U is projected before V, each only while an allowed region has room.
+    """
+    inside, proj = [None, None], [t, t]
+    if home is not None:
+        inside[home] = True
+    for i, P in enumerate((U, V)):
+        if inside[i] is None and _has_room(inside, full):
+            proj[i], d = project_onto_polytope(t, P)
+            if _MEMBERSHIP_TOL < d <= _MEMBERSHIP_TOL + _AMBIGUITY_BAND:
+                return None
+            inside[i] = d <= _MEMBERSHIP_TOL
+    if not _has_room(inside, full):
+        return None
+    return inside[0], inside[1], proj[0], proj[1]
 
 
 def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
@@ -69,14 +88,17 @@ def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
 
     Region targets are best-effort: rejection sampling with a stall cutoff,
     so empty regions (e.g. disjoint sets have no U-and-V points) are skipped
-    rather than spun on.  Returns (t, in_u, in_v, proj_u, proj_v) tuples.
+    rather than spun on.  Projections are skipped as the module docstring
+    says; every draw, stall and accepted point is the same as with both
+    projections.  Returns (t, in_u, in_v, proj_u, proj_v) tuples.
     """
     rng = np.random.default_rng(plan.seed)
     out = []
-    for v in list(U.vertices) + list(V.vertices):
-        cls = _classify(v, U, V)
-        if cls is not None:
-            out.append((v, *cls))
+    for home, P in enumerate((U, V)):
+        for v in P.vertices:
+            cls = _classify(v, U, V, home)
+            if cls is not None:
+                out.append((v, *cls))
     all_v = np.vstack([U.vertices, V.vertices])
     lo = all_v.min(axis=0) - plan.box_margin
     hi = all_v.max(axis=0) + plan.box_margin
@@ -84,27 +106,20 @@ def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
     got = [0, 0, 0, 0]
     stall = 0
     while any(g < w for g, w in zip(got, want)) and stall < 200:
-        mode = rng.integers(0, 3)
-        if mode == 0:  # convex combination of U vertices
-            w = rng.dirichlet(np.ones(U.vertices.shape[0]))
-            t = U.vertices.T @ w
-        elif mode == 1:
-            w = rng.dirichlet(np.ones(V.vertices.shape[0]))
-            t = V.vertices.T @ w
+        mode = int(rng.integers(0, 3))
+        if mode < 2:  # convex combination of U's (mode 0) or V's vertices
+            verts = (U, V)[mode].vertices
+            t = verts.T @ rng.dirichlet(np.ones(verts.shape[0]))
         else:
             t = rng.uniform(lo, hi)
-        cls = _classify(t, U, V)
+        full = [g >= w for g, w in zip(got, want)]
+        cls = _classify(t, U, V, mode if mode < 2 else None, full)
         if cls is None:
             stall += 1
             continue
-        in_u, in_v = cls[0], cls[1]
-        region = 0 if (in_u and in_v) else 1 if in_u else 2 if in_v else 3
-        if got[region] < want[region]:
-            got[region] += 1
-            stall = 0
-            out.append((t, *cls))
-        else:
-            stall += 1
+        got[_region(cls[0], cls[1])] += 1
+        stall = 0
+        out.append((t, *cls))
     return out
 
 
@@ -203,18 +218,3 @@ def verify_transform_distance_multi(
         },
     )
 
-
-def _sigma_multi(ts, U: Polytope, V: Polytope, rho: float):
-    """sigma for uncertain (a, b): index points are already (t, s) rows."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    ts = np.asarray(ts, dtype=float)
-    in_u, proj_u, _ = _membership(ts, U)
-    if in_u:
-        return ts
-    in_v, _, _ = _membership(ts, V)
-    if in_v:
-        return proj_u
-    out = np.zeros(ts.shape[0])
-    out[-1] = -float(rho)
-    return out

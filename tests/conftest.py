@@ -9,7 +9,7 @@ feasible set (so the problem is solvable with a bounded optimal face).
 import numpy as np
 import pytest
 
-from robust_stability import lp
+from robust_stability import geometry, lp
 from robust_stability.geometry import Polytope
 from robust_stability.model import RobustProblem
 
@@ -66,15 +66,25 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def _count_calls(monkeypatch, module, name):
+    """One-element list counting calls of module.name made through any module."""
+    count = [0]
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return count
+
+
 @pytest.fixture
 def lp_solve_calls(monkeypatch):
-    """One-element list counting lp.solve calls made through any module."""
-    count = [0]
-    real_solve = lp.solve
+    return _count_calls(monkeypatch, lp, "solve")
 
-    def counting_solve(*args, **kwargs):
-        count[0] += 1
-        return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(lp, "solve", counting_solve)
-    return count
+@pytest.fixture
+def min_norm_point_calls(monkeypatch):
+    """Wolfe solves: geometry.min_norm_point is only called within geometry."""
+    return _count_calls(monkeypatch, geometry, "min_norm_point")

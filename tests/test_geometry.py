@@ -115,6 +115,61 @@ class TestHausdorff:
             ) <= 1e-9
 
 
+class TestHausdorffEarlyBreakMatchesFullScan:
+    """The Hausdorff scans skip vertices whose nearest-vertex bound is below
+    the running maximum; each result must be the full scan's float."""
+
+    @staticmethod
+    def full_scan(U, V):
+        return max(geo.project_onto_polytope(u, V)[1] for u in U.vertices)
+
+    def assert_same(self, U, V):
+        forward, backward = self.full_scan(U, V), self.full_scan(V, U)
+        assert geo.directed_hausdorff(U, V) == forward
+        assert geo.directed_hausdorff(V, U) == backward
+        assert geo.hausdorff(U, V) == max(forward, backward)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_random_pairs(self, rng, dim):
+        for _ in range(60):
+            U = geo.Polytope(rng.normal(size=(int(rng.integers(1, 9)), dim)))
+            V = geo.Polytope(rng.normal(size=(int(rng.integers(1, 9)), dim)))
+            self.assert_same(U, V)
+            self.assert_same(U, U.translated(0.3 * rng.normal(size=dim)))
+            self.assert_same(U, U.scaled(0.7))
+
+    def test_ties(self):
+        square = geo.Polytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        for w in ([0.5, 0.0], [0.25, 0.25], [2.0, 0.0], [-3.0, 4.0]):
+            self.assert_same(square, square.translated(w))
+        self.assert_same(square, square.scaled(2.0))
+        self.assert_same(square, geo.Polytope([[0.5, 0.5]]))
+
+    def test_duplicate_vertices(self, rng):
+        for _ in range(20):
+            P = rng.normal(size=(4, 2))
+            U = geo.Polytope(np.vstack([P, P[:2]]))
+            V = geo.Polytope(np.vstack([P + 0.2, P[1:] + 0.2]))
+            self.assert_same(U, V)
+            self.assert_same(U, geo.Polytope(P))
+
+    def test_one_vertex_sets(self, rng):
+        for _ in range(20):
+            U = geo.Polytope(rng.normal(size=(1, 3)))
+            V = geo.Polytope(rng.normal(size=(int(rng.integers(1, 6)), 3)))
+            self.assert_same(U, V)
+            self.assert_same(U, U)
+
+    def test_one_vertex_projection_is_wolfe_start(self, rng):
+        for _ in range(50):
+            P = geo.Polytope(rng.normal(size=(1, 3)))
+            p = rng.normal(size=3)
+            q, d = geo.project_onto_polytope(p, P)
+            x, _ = geo.min_norm_point(P.vertices - p)
+            assert q.tobytes() == (x + p).tobytes()
+            assert d == float(np.linalg.norm(x))
+
+
 def hset_grid_oracle(H, mu_steps=120, lam_step=0.02):
     """Dense (lambda, mu)-grid with local refinement around the incumbent."""
     G = H.generators

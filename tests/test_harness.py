@@ -233,6 +233,30 @@ class TestCli:
         assert code == 1
         assert rep["error"] == "SchemaError"
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ("cost", ["1"]),
+            ("vertex", [True, "1"]),
+            ("vertex", [1.0, 10**400]),
+        ],
+    )
+    def test_non_number_entry_exits_1(self, tmp_path, capsys, entry):
+        """Strings, booleans and integers beyond float range are refused, as
+        in experiment configs, with one JSON error line."""
+        data = toy_problem_dict()
+        if entry[0] == "cost":
+            data["cost"] = entry[1]
+        else:
+            data["constraints"][0]["vertices"][0] = entry[1]
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        code = hn.cli(["solve", str(p)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1
+        rep = json.loads(lines[0])
+        assert rep["error"] == "SchemaError" and "non-numeric" in rep["message"]
+
     def test_perturb_deterministic_output(self, tmp_path, capsys):
         cfg = toy_config(tmp_path)
         out1 = tmp_path / "r1.json"

@@ -6,6 +6,8 @@ from robust_stability import model as md
 from robust_stability.errors import IndexMismatchError
 from robust_stability.geometry import Polytope
 
+from conftest import random_feasible_instance, shifted_instance
+
 
 def two_unit_rows():
     return (
@@ -235,6 +237,16 @@ class TestConstraintwiseDistance:
             cost=[1.0, 0.0],
         )
         assert md.constraintwise_distance(rpU, rpV).value == pytest.approx(0.5, abs=1e-10)
+
+
+    def test_wolfe_calls(self, rng, min_norm_point_calls):
+        """The box rows are one-vertex sets and need no Wolfe solve; the early
+        break skips vertices that cannot raise a Hausdorff distance.  With
+        neither, this distance takes 20 solves."""
+        rp = random_feasible_instance(rng, n=2)
+        rpV = shifted_instance(rp, rng, 0.05)
+        assert md.constraintwise_distance(rp, rpV).value == pytest.approx(0.05, abs=1e-12)
+        assert min_norm_point_calls[0] == 8
 
 
 class TestPiEquivalent:

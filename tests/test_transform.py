@@ -3,7 +3,7 @@ import pytest
 
 from robust_stability import transform as tf
 from robust_stability.errors import DimensionMismatchError, IndexMismatchError
-from robust_stability.geometry import Polytope, hausdorff
+from robust_stability.geometry import Polytope, hausdorff, project_onto_polytope
 from robust_stability.model import RobustProblem, constraintwise_distance
 
 from conftest import random_feasible_instance, random_polytope, shifted_instance
@@ -44,13 +44,124 @@ class TestEvalSigma:
             tf.eval_sigma_uv(np.zeros(2), U, U, b=0.0, rho=0.0)
 
     def test_multi_cases(self):
+        """Stacked (t, s) rows through the sampler's path: _classify, then
+        _sigma_cached."""
         U = unit_square()
         V = U.translated([3.0, 0.0])
-        assert tf._sigma_multi([0.5, 0.5], U, V, 0.7) == pytest.approx([0.5, 0.5])
-        assert tf._sigma_multi([3.5, 0.5], U, V, 0.7) == pytest.approx(
-            [1.0, 0.5], abs=1e-7
-        )
-        assert tf._sigma_multi([9.0, 9.0], U, V, 0.7) == pytest.approx([0.0, -0.7])
+
+        def sigma(ts):
+            ts = np.array(ts)
+            in_u, in_v, proj_u, _ = tf._classify(ts, U, V)
+            return tf._sigma_cached(ts, in_u, in_v, proj_u, 0.7)
+
+        assert sigma([0.5, 0.5]) == pytest.approx([0.5, 0.5])
+        assert sigma([3.5, 0.5]) == pytest.approx([1.0, 0.5], abs=1e-7)
+        assert sigma([9.0, 9.0]) == pytest.approx([0.0, -0.7])
+
+
+def eager_sample_index_points(U, V, plan):
+    """The sampler with both projections made for every point: the
+    reference the lazy sampler must match bit for bit."""
+
+    def classify(t):
+        proj_u, du = project_onto_polytope(t, U)
+        proj_v, dv = project_onto_polytope(t, V)
+        for d in (du, dv):
+            if tf._MEMBERSHIP_TOL < d <= tf._MEMBERSHIP_TOL + tf._AMBIGUITY_BAND:
+                return None
+        return du <= tf._MEMBERSHIP_TOL, dv <= tf._MEMBERSHIP_TOL, proj_u, proj_v
+
+    rng = np.random.default_rng(plan.seed)
+    out = []
+    for v in list(U.vertices) + list(V.vertices):
+        cls = classify(v)
+        if cls is not None:
+            out.append((v, *cls))
+    all_v = np.vstack([U.vertices, V.vertices])
+    lo = all_v.min(axis=0) - plan.box_margin
+    hi = all_v.max(axis=0) + plan.box_margin
+    want = list(plan.counts)
+    got = [0, 0, 0, 0]
+    stall = 0
+    while any(g < w for g, w in zip(got, want)) and stall < 200:
+        mode = rng.integers(0, 3)
+        if mode == 0:
+            t = U.vertices.T @ rng.dirichlet(np.ones(U.vertices.shape[0]))
+        elif mode == 1:
+            t = V.vertices.T @ rng.dirichlet(np.ones(V.vertices.shape[0]))
+        else:
+            t = rng.uniform(lo, hi)
+        cls = classify(t)
+        if cls is None:
+            stall += 1
+            continue
+        in_u, in_v = cls[0], cls[1]
+        region = 0 if (in_u and in_v) else 1 if in_u else 2 if in_v else 3
+        if got[region] < want[region]:
+            got[region] += 1
+            stall = 0
+            out.append((t, *cls))
+        else:
+            stall += 1
+    return out
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestLazySamplerMatchesEager:
+    """The sampler skips projections whose answer is known; every point,
+    membership and read projection must be the eager sampler's."""
+
+    def assert_same(self, U, V, plan):
+        lazy = tf._sample_index_points(U, V, plan)
+        eager = eager_sample_index_points(U, V, plan)
+        assert len(lazy) == len(eager)
+        for (t, in_u, in_v, pu, pv), (t0, in_u0, in_v0, pu0, pv0) in zip(lazy, eager):
+            assert bits(t) == bits(t0)
+            assert (in_u, in_v) == (in_u0, in_v0)
+            if in_v and not in_u:  # sigma_{U;V} reads proj_u
+                assert bits(pu) == bits(pu0)
+            if in_u and not in_v:  # sigma_{V;U} reads proj_v
+                assert bits(pv) == bits(pv0)
+        return lazy
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_pairs(self, rng, dim):
+        for seed in range(8):
+            U = random_polytope(rng, dim, max_vertices=6)
+            V = random_polytope(rng, dim, max_vertices=6, center=0.4 * rng.normal(size=dim))
+            self.assert_same(U, V, tf.SamplePlan(seed=seed, counts=(5, 5, 5, 5)))
+
+    def test_translates(self, rng):
+        for seed in range(6):
+            U = random_polytope(rng, 2 + seed % 2, max_vertices=6)
+            V = U.translated(0.5 * rng.normal(size=U.dim))
+            self.assert_same(U, V, tf.SamplePlan(seed=seed, counts=(5, 5, 5, 5)))
+
+    def test_disjoint_sets_reach_stall_cutoff(self):
+        U = unit_square()
+        V = U.translated([3.0, 0.0])
+        out = self.assert_same(U, V, LEAN_PLAN)
+        assert not any(in_u and in_v for _, in_u, in_v, _, _ in out)
+
+    def test_nested_sets(self):
+        U = unit_square().scaled(0.5).translated([0.25, 0.25])
+        self.assert_same(U, unit_square(), LEAN_PLAN)
+        self.assert_same(unit_square(), U, LEAN_PLAN)
+
+    def test_identical_sets(self, rng):
+        U = random_polytope(rng, 3, max_vertices=6)
+        self.assert_same(U, U, LEAN_PLAN)
+        self.assert_same(U, Polytope(U.vertices.copy()), LEAN_PLAN)
+
+    def test_one_vertex_sets(self):
+        point = Polytope([[0.5, 0.5]])
+        self.assert_same(point, unit_square(), LEAN_PLAN)
+        self.assert_same(unit_square(), point, LEAN_PLAN)
+        self.assert_same(point, point, LEAN_PLAN)
+        self.assert_same(point, Polytope([[2.0, 0.0]]), LEAN_PLAN)
 
 
 class TestVerifyTransformDistance:
@@ -122,6 +233,16 @@ class TestVerifyTransformDistance:
         r2 = tf.verify_transform_distance(U, V, b=-1.0, rho=0.5, plan=LEAN_PLAN)
         assert r1.measured == r2.measured
         assert r1.context["samples"] == r2.context["samples"]
+
+
+    def test_wolfe_calls(self, min_norm_point_calls):
+        """Pinned Wolfe count of one fixed check.  Projecting every point onto
+        both sets and every vertex of U and V onto the other set took 144."""
+        U = Polytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 1.5]])
+        V = U.translated([0.5, 0.25])
+        rep = tf.verify_transform_distance(U, V, b=-1.0, rho=0.5, plan=LEAN_PLAN)
+        assert rep.passed and rep.context["samples"] == 50
+        assert min_norm_point_calls[0] == 89
 
 
 class TestVerifyTransformDistanceMulti:
