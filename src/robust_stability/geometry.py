@@ -16,12 +16,15 @@ from . import lp as lpmod
 from .config import default_tolerances
 from .errors import (
     DimensionMismatchError,
+    IterationLimitError,
     OriginNotInteriorError,
     UnboundedPolarError,
 )
 
 _MNP_GAP_TOL = 1e-9
 _MNP_MAX_ITER = 100_000
+_DYKSTRA_TOL = 1e-11
+_DYKSTRA_MAX_SWEEPS = 20_000
 _SUBSET_BLOCK = 4096  # d-subsets per stacked solve; ~3 MB of products at k = 64
 
 
@@ -29,8 +32,7 @@ _SUBSET_BLOCK = 4096  # d-subsets per stacked solve; ~3 MB of products at k = 64
 class Polytope:
     """Convex hull of a finite, non-empty vertex list in R^dim.
 
-    Duplicate or redundant vertices are tolerated everywhere; normalize()
-    deduplicates but is never applied implicitly.
+    Duplicate or redundant vertices are tolerated everywhere.
     """
 
     vertices: np.ndarray
@@ -48,14 +50,6 @@ class Polytope:
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
-
-    def normalize(self, tol: float = 1e-12) -> "Polytope":
-        """Deduplicate vertices within tol (explicit pass, never implicit)."""
-        out = []
-        for v in self.vertices:
-            if not any(np.linalg.norm(v - w) <= tol for w in out):
-                out.append(v)
-        return Polytope(np.array(out))
 
     def translated(self, w) -> "Polytope":
         return Polytope(self.vertices + np.asarray(w, dtype=float))
@@ -108,12 +102,13 @@ def _affine_minimizer(B):
     return sol[:k]
 
 
-def min_norm_point(points: np.ndarray, gap_tol: float = _MNP_GAP_TOL):
+def min_norm_point(points: np.ndarray):
     """Wolfe's algorithm: argmin ||x|| over conv(points).
 
     Returns (x, weights) with weights a full-length convex combination.
-    Termination: <x, x> - min_j <x, p_j> <= gap_tol * scale (the Frank-Wolfe
-    dual gap certificate).
+    Termination: <x, x> - min_j <x, p_j> <= _MNP_GAP_TOL * scale (the
+    Frank-Wolfe dual gap certificate); IterationLimitError after
+    _MNP_MAX_ITER major cycles.
     """
     P = np.asarray(points, dtype=float)
     k = P.shape[0]
@@ -125,7 +120,7 @@ def min_norm_point(points: np.ndarray, gap_tol: float = _MNP_GAP_TOL):
     for _ in range(_MNP_MAX_ITER):
         dots = P @ x
         j = int(np.argmin(dots))
-        if x @ x - dots[j] <= gap_tol * scale:
+        if x @ x - dots[j] <= _MNP_GAP_TOL * scale:
             break
         if j in S:
             break  # numerically stalled; gap is already tiny
@@ -155,6 +150,8 @@ def min_norm_point(points: np.ndarray, gap_tol: float = _MNP_GAP_TOL):
         x = P[S].T @ lam
         if x @ x >= f_prev - 1e-18 * scale:
             break  # no progress possible at this precision
+    else:
+        raise IterationLimitError("min_norm_point iteration limit reached")
     weights = np.zeros(k)
     for s, l in zip(S, lam):
         weights[s] += l
@@ -182,6 +179,8 @@ def _scan_hausdorff(U: Polytope, V: Polytope, best: float) -> float:
     """max(best, directed_hausdorff(U, V)) by the early break."""
     if U.dim != V.dim:
         raise DimensionMismatchError("polytopes have different dimensions")
+    if len(U.vertices) == 1 or len(V.vertices) == 1:  # no bound is cheaper
+        return max([best] + [project_onto_polytope(u, V)[1] for u in U.vertices])
     D = V.vertices[None, :, :] - U.vertices[:, None, :]
     nearest = D[np.arange(len(D)), np.argmin(np.sum(D * D, axis=2), axis=1)]
     bounds = [float(np.linalg.norm(x)) for x in nearest]
@@ -199,7 +198,8 @@ def directed_hausdorff(U: Polytope, V: Polytope) -> float:
     starts at the vertex of V nearest to u and only descends, so that
     distance bounds u's.  Vertices are projected in descending order of the
     bound until the next bound is strictly below the running maximum; the
-    rest cannot raise it, and ties are still projected.
+    rest cannot raise it, and ties are still projected.  One-vertex sets
+    skip the bounds: V's projection is its bound, U has one projection.
     """
     return _scan_hausdorff(U, V, 0.0)
 
@@ -271,6 +271,15 @@ def _subset_solutions(M, rhs, d):
         yield X[..., 0], MX[..., 0]
 
 
+def _polar_vertices(W):
+    """Rows y solving d-subsets of W y = 1 with W y <= 1 + 1e-9: the vertices
+    of the polar {y : <w, y> <= 1, w a row of W}, duplicates kept."""
+    k, d = W.shape
+    blocks = _subset_solutions(W, np.ones(k), d)
+    Y = [y for Y, WY in blocks for y in Y[(WY <= 1.0 + 1e-9).all(axis=1)]]
+    return np.array(Y).reshape(-1, d)
+
+
 class Inradius(NamedTuple):
     value: float
     estimated: bool
@@ -293,10 +302,7 @@ def inradius_at_origin(P: Polytope) -> Inradius:
     V = P.vertices
     k, d = V.shape
     if d <= 4 and k <= 64:
-        best = 0.0
-        for Y, VY in _subset_solutions(V, np.ones(k), d):
-            for y in Y[(VY <= 1.0 + 1e-9).all(axis=1)]:
-                best = max(best, float(np.linalg.norm(y)))
+        best = max((float(np.linalg.norm(y)) for y in _polar_vertices(V)), default=0.0)
         if best <= default_tolerances().feasibility:
             raise UnboundedPolarError("polar polytope has no vertices (degenerate)")
         if 1.0 / best <= 1e-9:  # the probe margin's threshold
@@ -323,11 +329,52 @@ def inradius_at_origin(P: Polytope) -> Inradius:
     return Inradius(value=best_val, estimated=True)
 
 
-def project_onto_halfspaces(p, rows, tol: float = 1e-11, max_sweeps: int = 20000):
+class Facets(NamedTuple):
+    """conv(P) = {x : normals (x - center) <= offsets}; unit normals."""
+
+    center: np.ndarray
+    normals: np.ndarray
+    offsets: np.ndarray
+    scale: float  # max(1, max offset)
+
+
+def facets(P: Polytope):
+    """Facets of conv(P) from the polar vertices y of {y : <v - c, y> <= 1},
+    c the vertex mean: row y / ||y||, offset 1 / ||y||; each vertex of P
+    meets each row to 1e-9 * scale.  Checked complete: each point that
+    enumerate_hrep_vertices finds for the H-polytope boxed at twice P's
+    radius (so no facet can go missing unseen) lies within 1e-9 * scale of a
+    vertex of P or, by Wolfe, of conv(P) (nearly singular subsets give edge
+    points); after its 1e-7 merge, the H-polytope lies within 1e-7 + 1e-9 *
+    scale of conv(P).  None if not, for dim > 4, k > 64, k <= dim, or flat P.
+    """
+    k, d = P.vertices.shape
+    if d > 4 or k > 64 or k <= d:
+        return None
+    c = P.vertices.mean(axis=0)
+    W = P.vertices - c
+    Y = _polar_vertices(W)
+    Y = Y[np.unique(Y.round(9), axis=0, return_index=True)[1]]
+    off = 1.0 / np.linalg.norm(Y, axis=1)
+    scale = float(off.max(initial=1.0))
+    box = 2.0 * max(1.0, float(np.max(np.linalg.norm(W, axis=1))))
+    rows = [(-y, -1.0) for y in Y] + [(s * e, -box) for e in np.eye(d) for s in (1.0, -1.0)]
+    X = np.array(enumerate_hrep_vertices(rows, d)).reshape(-1, d)
+    tol = 1e-9 * scale
+    off_vertex = X[np.linalg.norm(X[:, None, :] - W, axis=2).min(axis=1) > tol]
+    if not len(Y) or not len(X) or any(
+        np.linalg.norm(min_norm_point(W - x)[0]) > tol for x in off_vertex
+    ):
+        return None
+    return Facets(c, Y * off[:, None], off, scale)
+
+
+def project_onto_halfspaces(p, rows):
     """Dykstra projection of p onto {x : <a_i, x> >= b_i for all i}.
 
     Returns (q, dist).  Converges to the exact Euclidean projection for any
     non-empty intersection of halfspaces; desk-scale inputs settle quickly.
+    IterationLimitError if _DYKSTRA_MAX_SWEEPS sweeps leave it unconverged.
     """
     p = np.asarray(p, dtype=float)
     A = np.array([np.asarray(a, dtype=float) for a, _ in rows])
@@ -336,7 +383,7 @@ def project_onto_halfspaces(p, rows, tol: float = 1e-11, max_sweeps: int = 20000
     m = A.shape[0]
     x = p.copy()
     corrections = np.zeros((m, p.shape[0]))
-    for _ in range(max_sweeps):
+    for _ in range(_DYKSTRA_MAX_SWEEPS):
         max_move = 0.0
         for i in range(m):
             if norms2[i] == 0.0:
@@ -351,12 +398,14 @@ def project_onto_halfspaces(p, rows, tol: float = 1e-11, max_sweeps: int = 20000
             max_move = max(max_move, float(np.max(np.abs(x_new - x))))
             x = x_new
         resid = float(np.max(b - A @ x, initial=0.0))
-        if max_move <= tol and resid <= 1e-9:
+        if max_move <= _DYKSTRA_TOL and resid <= 1e-9:
             break
+    else:
+        raise IterationLimitError("Dykstra sweep limit reached")
     return x, float(np.linalg.norm(p - x))
 
 
-def enumerate_hrep_vertices(rows, dim: int, tol: float = 1e-8):
+def enumerate_hrep_vertices(rows, dim: int):
     """Vertices of {x : <a_i, x> >= b_i}, dim <= 4, by basis enumeration.
 
     Every vertex is the unique solution of dim active rows; candidates are
@@ -367,7 +416,7 @@ def enumerate_hrep_vertices(rows, dim: int, tol: float = 1e-8):
     scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(A))))
     verts = []
     for X, AX in _subset_solutions(A, b, dim):
-        keep = np.isfinite(X).all(axis=1) & (AX >= b - tol * scale).all(axis=1)
+        keep = np.isfinite(X).all(axis=1) & (AX >= b - 1e-8 * scale).all(axis=1)
         for x in X[keep]:
             if not any(np.linalg.norm(x - w) <= 1e-7 for w in verts):
                 verts.append(x)

@@ -130,7 +130,7 @@ def _checked(ok, what):
         raise NumericalBreakdownError(f"simplex result fails its {what} check")
 
 
-def solve(lp: LinearProgram, tol: float = None) -> SolveResult:
+def solve(lp: LinearProgram) -> SolveResult:
     """Solve the LP, classifying optimal / infeasible / unbounded.
 
     Every result is checked on the original data before it is returned, and
@@ -139,8 +139,7 @@ def solve(lp: LinearProgram, tol: float = None) -> SolveResult:
     duality gap, an unbounded ray is a recession direction of descent, and
     infeasible results carry Farkas weights w >= 0 with A'w = 0, b'w > 0.
     """
-    if tol is None:
-        tol = default_tolerances().feasibility
+    tol = default_tolerances().feasibility
     n, m = lp.n, lp.m
     A, b, c = lp.a_matrix, lp.rhs, lp.cost
     if m == 0:
@@ -213,48 +212,46 @@ def solve(lp: LinearProgram, tol: float = None) -> SolveResult:
     return SolveResult(OPTIMAL, value, x, w)
 
 
-def slater_constant(rows, cap: float = _SLATER_CAP, tol: float = None):
+def slater_constant(rows):
     """Maximal strong-Slater constant rho* with an attaining point.
 
-    Solves max rho s.t. <a_t, x> >= b_t + rho, rho <= cap, over (x, rho).
+    Solves max rho s.t. <a_t, x> >= b_t + rho, rho <= _SLATER_CAP, over (x, rho).
     Returns a SlaterCertificate, or None when rho* <= 0 (no strict slack).
-    The LP is written in rho = rho0 + rho' with rho0 = min(cap, min_t -b_t),
+    The LP is written in rho = rho0 + rho' with rho0 = min(_SLATER_CAP, min_t -b_t),
     so that every rhs is <= 0 and the simplex starts feasible.
     """
-    if tol is None:
-        tol = default_tolerances().feasibility
+    tol = default_tolerances().feasibility
     rows = list(rows)
     if not rows:
         raise ValueError("slater_constant needs at least one row")
     A = np.array([a for a, _ in rows], dtype=float)
     b = np.array([bt for _, bt in rows], dtype=float)
     m, n = A.shape
-    rho0 = min(cap, float(-b.max()))
+    rho0 = min(_SLATER_CAP, float(-b.max()))
     aug = np.full((m + 1, n + 1), -1.0)
     aug[:m, :n] = A
     aug[m, :n] = 0.0
     cost = np.zeros(n + 1)
     cost[-1] = -1.0
-    res = solve(LinearProgram(cost, aug, np.append(b + rho0, rho0 - cap)), tol)
+    res = solve(LinearProgram(cost, aug, np.append(b + rho0, rho0 - _SLATER_CAP)))
     if res.status != OPTIMAL:
         raise NumericalBreakdownError(f"slater LP status {res.status}")
     rho = rho0 - res.value
     if rho <= tol:
         return None
     return SlaterCertificate(
-        point=res.solution[:n].copy(), rho=float(rho), capped=rho >= cap - 1e-6
+        point=res.solution[:n].copy(), rho=float(rho), capped=rho >= _SLATER_CAP - 1e-6
     )
 
 
-def optimal_face_bounded(lp: LinearProgram, tol: float = None) -> bool:
+def optimal_face_bounded(lp: LinearProgram) -> bool:
     """True iff the optimal face of a solvable LP is bounded.
 
     Recession-cone test: the face is bounded iff the cone
     {d : <a_t, d> >= 0, <c, d> = 0} is {0}; checked by 2n LPs maximizing
     +/- d_i over the cone intersected with the unit box.
     """
-    if tol is None:
-        tol = default_tolerances().optimality
+    tol = default_tolerances().optimality
     n = lp.n
     rows = [(lp.a_matrix[i], 0.0) for i in range(lp.m)]
     rows.append((lp.cost, 0.0))

@@ -8,7 +8,7 @@ _REPORT_TOL = 1e-7
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """bound vs measured for one theorem instance; pass iff slack >= -tol."""
+    """bound vs measured for one theorem instance; pass iff slack >= -_REPORT_TOL."""
 
     bound: float
     measured: float
@@ -17,13 +17,13 @@ class CertificateReport:
     context: dict = field(default_factory=dict)
 
     @classmethod
-    def from_values(cls, bound, measured, context=None, tol=_REPORT_TOL):
+    def from_values(cls, bound, measured, context=None):
         slack = float(bound) - float(measured)
         return cls(
             bound=float(bound),
             measured=float(measured),
             slack=slack,
-            passed=slack >= -tol,
+            passed=slack >= -_REPORT_TOL,
             context=dict(context or {}),
         )
 

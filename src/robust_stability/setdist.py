@@ -226,7 +226,6 @@ def check_eps_argmin_lipschitz(
     r: float = None,
     r0: float = None,
     params: TruncatedDistParams = None,
-    tol: float = 1e-7,
 ) -> CertificateReport:
     """Certify d-hat_r(eps-argmin(U), eps-argmin(V)) <= coefficient * d_nat.
 
@@ -298,5 +297,4 @@ def check_eps_argmin_lipschitz(
             "nu_u": nu_u,
             "nu_v": nu_v,
         },
-        tol=tol,
     )

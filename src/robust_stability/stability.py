@@ -263,7 +263,7 @@ class ValueLipschitzChecker:
         self.augmented = augment_with_slack_row(self.counterpart, self.rho)
         self.constants = _stability_constants(self.augmented, self.nu_u, eps)
 
-    def check(self, rpV: RobustProblem, tol: float = 1e-7) -> CertificateReport:
+    def check(self, rpV: RobustProblem) -> CertificateReport:
         d_nat = constraintwise_distance(self.rpU, rpV).value
         if not d_nat < self.constants.epsilon:
             raise HypothesisViolatedError(
@@ -289,7 +289,6 @@ class ValueLipschitzChecker:
                 "epsilon": self.constants.epsilon,
                 "rho": self.rho,
             },
-            tol=tol,
         )
 
 

@@ -7,23 +7,28 @@ to the trivial row (0, -rho) otherwise.  The distance identity says the sup of
 is attained at vertices of U and V, including those deterministically in
 every sample plan turns the check into an equality test.
 
-The sampler projects an index point only where the answer is not known.  A
-vertex or convex combination of U's vertices lies in U (likewise for V), and
-sigma reads proj_U(t) only when t is not in U, so it is not projected onto
-its own set.  A point whose known memberships leave only full index regions
-is rejected without projecting onto the other set.
+The sampler projects an index point only where sigma reads the projection
+or its membership is not otherwise known.  A vertex or convex combination of
+U's vertices lies in U (likewise for V).  Other memberships are read off
+geometry.facets: a point beyond _FACET_BAND * scale of a facet hyperplane is
+outside, one that deep inside every facet is inside; the facet list is
+checked to hold conv(P) and lie within 1e-7 + 1e-9 * scale of it, so both
+answers are sound.  Points in that band, and sets without a facet list, are
+projected, U before V, each while an allowed index region has room.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, IndexMismatchError
-from .geometry import Polytope, hausdorff, project_onto_polytope
+from .geometry import Polytope, facets, hausdorff, project_onto_polytope
 from .model import RobustProblem, constraintwise_distance
 from .report import CertificateReport
 
 _MEMBERSHIP_TOL = 1e-9
 _AMBIGUITY_BAND = 1e-9
+_FACET_BAND = 1e-6
+_IDENTITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -63,15 +68,22 @@ def _has_room(inside, full):
     return any(not full[_region(u, v)] for u in options[0] for v in options[1])
 
 
-def _classify(t, U, V, home=None, full=(False,) * 4):
+def _classify(t, U, V, home=None, full=(False,) * 4, hreps=(None, None)):
     """Cached membership data (in_u, in_v, proj_u, proj_v), or None if t
     falls inside the membership ambiguity band or only in full regions.  t
-    lies in `home` (0: U, 1: V) by construction and is not projected there;
-    U is projected before V, each only while an allowed region has room.
+    lies in `home` (0: U, 1: V) by construction; `hreps` holds the facets of
+    U and V (None: none known).  Memberships the facets leave open are
+    projected, U before V, each only while an allowed region has room.  A
+    projection sigma does not read may be left as t.
     """
     inside, proj = [None, None], [t, t]
     if home is not None:
         inside[home] = True
+    for i, h in enumerate(hreps):  # geometry.Facets; skip within the band
+        if inside[i] is None and h is not None:
+            s = float((h.normals @ (t - h.center) - h.offsets).max())
+            if abs(s) > _FACET_BAND * h.scale:
+                inside[i] = s < 0.0
     for i, P in enumerate((U, V)):
         if inside[i] is None and _has_room(inside, full):
             proj[i], d = project_onto_polytope(t, P)
@@ -80,6 +92,9 @@ def _classify(t, U, V, home=None, full=(False,) * 4):
             inside[i] = d <= _MEMBERSHIP_TOL
     if not _has_room(inside, full):
         return None
+    for i, P in enumerate((U, V)):  # the projection sigma reads, once
+        if inside[1 - i] and not inside[i] and proj[i] is t:
+            proj[i] = project_onto_polytope(t, P)[0]
     return inside[0], inside[1], proj[0], proj[1]
 
 
@@ -93,10 +108,11 @@ def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
     projections.  Returns (t, in_u, in_v, proj_u, proj_v) tuples.
     """
     rng = np.random.default_rng(plan.seed)
+    hreps = (facets(U), facets(V))
     out = []
     for home, P in enumerate((U, V)):
         for v in P.vertices:
-            cls = _classify(v, U, V, home)
+            cls = _classify(v, U, V, home, hreps=hreps)
             if cls is not None:
                 out.append((v, *cls))
     all_v = np.vstack([U.vertices, V.vertices])
@@ -113,7 +129,7 @@ def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
         else:
             t = rng.uniform(lo, hi)
         full = [g >= w for g, w in zip(got, want)]
-        cls = _classify(t, U, V, mode if mode < 2 else None, full)
+        cls = _classify(t, U, V, mode if mode < 2 else None, full, hreps)
         if cls is None:
             stall += 1
             continue
@@ -154,33 +170,30 @@ def _sampled_sup(U, V, rho, plan, b=None):
     return max(gaps), len(gaps)
 
 
+def _two_sided(bound, measured, context):
+    """The identity is an equality: pass iff |measured - bound| <= _IDENTITY_TOL."""
+    passed = abs(measured - bound) <= _IDENTITY_TOL
+    return CertificateReport(bound, measured, bound - measured, passed, context)
+
+
 def verify_transform_distance(
     U: Polytope,
     V: Polytope,
     b: float,
     rho: float,
     plan: SamplePlan = SamplePlan(),
-    tol: float = 1e-6,
 ) -> CertificateReport:
     """Check sup_t ||sigma_{U;V}(t) - sigma_{V;U}(t)|| = d_H(U, V) two-sided."""
     if U.dim != V.dim:
         raise DimensionMismatchError("U and V have different dimensions")
     measured, samples = _sampled_sup(U, V, rho, plan, b=b)
-    bound = hausdorff(U, V)
-    passed = abs(measured - bound) <= tol
-    return CertificateReport(
-        bound=bound,
-        measured=measured,
-        slack=bound - measured,
-        passed=passed,
-        context={
-            "check": "transform-distance",
-            "seed": plan.seed,
-            "samples": samples,
-            "b": float(b),
-            "rho": float(rho),
-        },
-    )
+    return _two_sided(hausdorff(U, V), measured, {
+        "check": "transform-distance",
+        "seed": plan.seed,
+        "samples": samples,
+        "b": float(b),
+        "rho": float(rho),
+    })
 
 
 def verify_transform_distance_multi(
@@ -188,7 +201,6 @@ def verify_transform_distance_multi(
     rpV: RobustProblem,
     rho: float,
     plan: SamplePlan = SamplePlan(),
-    tol: float = 1e-6,
 ) -> CertificateReport:
     """Constraint-wise version over (t, s) index points in R^(n+1).
 
@@ -203,18 +215,10 @@ def verify_transform_distance_multi(
         V = rpV.constraint_sets[alpha]
         per_alpha[alpha] = _sampled_sup(U, V, rho, plan)[0]
     measured = max(per_alpha.values())
-    bound = constraintwise_distance(rpU, rpV).value
-    passed = abs(measured - bound) <= tol
-    return CertificateReport(
-        bound=bound,
-        measured=measured,
-        slack=bound - measured,
-        passed=passed,
-        context={
-            "check": "transform-distance-multi",
-            "seed": plan.seed,
-            "rho": float(rho),
-            "perConstraint": {k: float(v) for k, v in per_alpha.items()},
-        },
-    )
+    return _two_sided(constraintwise_distance(rpU, rpV).value, measured, {
+        "check": "transform-distance-multi",
+        "seed": plan.seed,
+        "rho": float(rho),
+        "perConstraint": {k: float(v) for k, v in per_alpha.items()},
+    })
 

@@ -9,6 +9,7 @@ from robust_stability import geometry as geo
 from robust_stability import lp
 from robust_stability.errors import (
     DimensionMismatchError,
+    IterationLimitError,
     OriginNotInteriorError,
     UnboundedPolarError,
 )
@@ -159,6 +160,17 @@ class TestHausdorffEarlyBreakMatchesFullScan:
             V = geo.Polytope(rng.normal(size=(int(rng.integers(1, 6)), 3)))
             self.assert_same(U, V)
             self.assert_same(U, U)
+
+    def test_one_vertex_sets_skip_bounds(self, rng, min_norm_point_calls):
+        """A one-vertex V needs no Wolfe call; a one-vertex U projects its
+        vertex once, even below the running maximum."""
+        U = geo.Polytope(rng.normal(size=(5, 3)))
+        point = geo.Polytope(rng.normal(size=(1, 3)))
+        self.assert_same(U, point)
+        assert min_norm_point_calls[0] == 3  # one per scan of `point` over U
+        min_norm_point_calls[0] = 0
+        geo.hausdorff(U, point)
+        assert min_norm_point_calls[0] == 1
 
     def test_one_vertex_projection_is_wolfe_start(self, rng):
         for _ in range(50):
@@ -541,11 +553,126 @@ class TestHalfspacesAndVertices:
 
 
 class TestPolytopeBasics:
-    def test_normalize_dedupes(self):
-        P = geo.Polytope([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        assert P.normalize().vertices.shape == (2, 2)
-        assert P.vertices.shape == (3, 2)  # never implicit
-
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             geo.Polytope([[np.nan, 0.0]])
+
+
+def hrep_vertices(F):
+    """Vertices of {x : N (x - c) <= off}: the points enumerate_hrep_vertices
+    gives whose active rows have full rank (a nearly singular subset of rows
+    gives a point on an edge)."""
+    d = len(F.center)
+    rows = [(-n, -(o + n @ F.center)) for n, o in zip(F.normals, F.offsets)]
+    X = np.array(geo.enumerate_hrep_vertices(rows, d))
+    slack = F.normals @ (X - F.center).T - F.offsets[:, None]
+    rank = [np.linalg.matrix_rank(F.normals[np.abs(s) <= 1e-9]) for s in slack.T]
+    return X[np.array(rank) == d]
+
+
+def cross_polytope(d):
+    return np.vstack([np.eye(d), -np.eye(d)])
+
+
+class TestFacets:
+    """facets(P) describes conv(P) exactly, or returns None."""
+
+    def assert_describes(self, V, extreme):
+        """Every vertex meets every facet row; the H-vertices are the rows of
+        `extreme` (the extreme points of V); points of V not in `extreme`
+        are strictly inside."""
+        F = geo.facets(geo.Polytope(V))
+        assert F is not None
+        assert np.allclose(np.linalg.norm(F.normals, axis=1), 1.0)
+        assert F.center.tobytes() == V.mean(axis=0).tobytes()
+        assert F.scale == max(1.0, F.offsets.max())
+        slack = F.normals @ (V - F.center).T - F.offsets[:, None]
+        assert slack.max() <= 1e-9 * F.scale
+        X = hrep_vertices(F)
+        assert len(X) == len(extreme)
+        gaps = np.linalg.norm(X[:, None, :] - extreme[None, :, :], axis=2)
+        assert gaps.min(axis=0).max() <= 1e-9 and gaps.min(axis=1).max() <= 1e-9
+        return F
+
+    def test_square(self):
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        F = self.assert_describes(square, square)
+        assert len(F.normals) == 4
+
+    def test_cube(self):
+        cube = np.array(list(itertools.product([0.0, 2.0], repeat=3)))
+        F = self.assert_describes(cube, cube)
+        assert len(F.normals) == 6  # each facet's polar vertex once
+
+    @pytest.mark.parametrize("d, count", [(2, 4), (3, 8), (4, 16)])
+    def test_cross_polytope(self, d, count):
+        V = cross_polytope(d)
+        F = self.assert_describes(V, V)
+        assert len(F.normals) == count
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_random_hulls_with_interior_points(self, rng, d):
+        for _ in range(10):
+            outer = 3.0 * cross_polytope(d) + 0.2 * rng.normal(size=(2 * d, d))
+            inner = rng.dirichlet(np.ones(2 * d), size=4) @ outer
+            V = np.vstack([outer, inner])[rng.permutation(2 * d + 4)]
+            F = self.assert_describes(V, outer)
+            slack = F.normals @ (inner - F.center).T - F.offsets[:, None]
+            assert slack.max(axis=0).max() < 0.0
+
+    def test_membership_matches_projection(self, rng):
+        """Away from the facet hyperplanes, the facet test and Wolfe agree."""
+        for d in (2, 3):
+            for _ in range(10):
+                P = geo.Polytope(rng.normal(size=(6, d)))
+                F = geo.facets(P)
+                for t in 1.5 * rng.normal(size=(30, d)):
+                    s = (F.normals @ (t - F.center) - F.offsets).max()
+                    inside = geo.project_onto_polytope(t, P)[1] <= 1e-9
+                    assert abs(s) <= 1e-6 or (s < 0) == inside
+
+    def test_none_cases(self):
+        cases = [
+            [[1.0, 2.0]],  # one vertex
+            [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0.5, 0.5, 0]],  # planar in 3-D
+            [[0.0, 0.0], [1.0, 0.0]],  # k <= dim
+            [[0, 0, 0], [1, 0, 0], [0, 1, 0]],  # k <= dim
+            np.vstack([np.zeros(5), np.eye(5), -np.eye(5)]),  # dim 5
+        ]
+        for V in cases:
+            assert geo.facets(geo.Polytope(V)) is None
+
+    def test_dropped_polar_vertex(self, rng, monkeypatch):
+        """A facet missing from the polar enumeration fails the check, also
+        where the rest would leave the H-polytope unbounded."""
+        polytopes = [np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])]
+        polytopes += [rng.normal(size=(7, d)) for d in (2, 3, 4) for _ in range(3)]
+        real = geo._polar_vertices
+        for V in polytopes:
+            Y = np.unique(real(V - V.mean(axis=0)).round(9), axis=0)
+            for drop in range(3):
+                monkeypatch.setattr(
+                    geo, "_polar_vertices",
+                    lambda W: real(W)[(np.abs(real(W) - Y[drop]) > 1e-8).any(axis=1)],
+                )
+                assert geo.facets(geo.Polytope(V)) is None
+
+
+class TestIterationLimits:
+    """A solver loop that runs out raises instead of returning its iterate."""
+
+    def test_min_norm_point(self, monkeypatch):
+        P = np.array([[1.0, -1.0], [1.0, 1.0], [3.0, 0.0]])  # needs two cycles
+        monkeypatch.setattr(geo, "_MNP_MAX_ITER", 2)
+        assert geo.min_norm_point(P)[0] == pytest.approx([1.0, 0.0])
+        monkeypatch.setattr(geo, "_MNP_MAX_ITER", 1)
+        with pytest.raises(IterationLimitError):
+            geo.min_norm_point(P)
+
+    def test_project_onto_halfspaces(self, monkeypatch):
+        rows = TestHalfspacesAndVertices.UNIT_SQUARE
+        monkeypatch.setattr(geo, "_DYKSTRA_MAX_SWEEPS", 2)
+        assert geo.project_onto_halfspaces([2.0, 2.0], rows)[1] == pytest.approx(np.sqrt(2))
+        monkeypatch.setattr(geo, "_DYKSTRA_MAX_SWEEPS", 1)
+        with pytest.raises(IterationLimitError):
+            geo.project_onto_halfspaces([2.0, 2.0], rows)

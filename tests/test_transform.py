@@ -3,7 +3,7 @@ import pytest
 
 from robust_stability import transform as tf
 from robust_stability.errors import DimensionMismatchError, IndexMismatchError
-from robust_stability.geometry import Polytope, hausdorff, project_onto_polytope
+from robust_stability.geometry import Polytope, facets, hausdorff, project_onto_polytope
 from robust_stability.model import RobustProblem, constraintwise_distance
 
 from conftest import random_feasible_instance, random_polytope, shifted_instance
@@ -164,6 +164,53 @@ class TestLazySamplerMatchesEager:
         self.assert_same(point, Polytope([[2.0, 0.0]]), LEAN_PLAN)
 
 
+class TestClassifyWithFacets:
+    """Memberships read off the facets are the projections' answers; points
+    within the facet band are projected, and so is the one point sigma reads."""
+
+    @pytest.fixture
+    def projected(self, monkeypatch):
+        """Names of the sets ("U", "V") _classify projects onto, in order."""
+        log, real = [], tf.project_onto_polytope
+        def recording(t, P):
+            log.append("U" if P is self.U else "V")
+            return real(t, P)
+        monkeypatch.setattr(tf, "project_onto_polytope", recording)
+        return log
+
+    def classify(self, projected, t, home=None):
+        """_classify with the facets, checked against _classify without."""
+        t = np.asarray(t, dtype=float)
+        projected.clear()
+        got = tf._classify(t, self.U, self.V, home, hreps=(facets(self.U), facets(self.V)))
+        calls = list(projected)
+        want = tf._classify(t, self.U, self.V, home)
+        assert got[:2] == want[:2]
+        if got[1] and not got[0]:
+            assert bits(got[2]) == bits(want[2])
+        if got[0] and not got[1]:
+            assert bits(got[3]) == bits(want[3])
+        return got[:2], calls
+
+    def test_far_from_facets(self, projected):
+        self.U, self.V = unit_square(), unit_square().translated([3.0, 0.0])
+        assert self.classify(projected, [0.5, 0.5]) == ((True, False), ["V"])
+        assert self.classify(projected, [3.5, 0.5]) == ((False, True), ["U"])
+        assert self.classify(projected, [9.0, 9.0]) == ((False, False), [])
+
+    def test_edge_midpoints(self, projected):
+        self.U, self.V = unit_square(), unit_square().translated([3.0, 0.0])
+        for t in ([0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]):
+                assert self.classify(projected, t) == ((True, False), ["U", "V"])
+        assert self.classify(projected, [3.5, 1.0]) == ((False, True), ["V", "U"])
+
+    def test_vertex_on_a_facet(self, projected):
+        self.U = unit_square()
+        self.V = Polytope([[1.0, 0.5], [2.0, 0.0], [2.0, 1.0]])
+        assert self.classify(projected, self.V.vertices[0], home=1) == ((True, True), ["U"])
+        assert self.classify(projected, self.V.vertices[1], home=1) == ((False, True), ["U"])
+
+
 class TestVerifyTransformDistance:
     def test_identical_sets(self):
         U = unit_square()
@@ -237,12 +284,13 @@ class TestVerifyTransformDistance:
 
     def test_wolfe_calls(self, min_norm_point_calls):
         """Pinned Wolfe count of one fixed check.  Projecting every point onto
-        both sets and every vertex of U and V onto the other set took 144."""
+        both sets and every vertex of U and V onto the other set took 144;
+        deciding every membership by projection took 89."""
         U = Polytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 1.5]])
         V = U.translated([0.5, 0.25])
         rep = tf.verify_transform_distance(U, V, b=-1.0, rho=0.5, plan=LEAN_PLAN)
         assert rep.passed and rep.context["samples"] == 50
-        assert min_norm_point_calls[0] == 89
+        assert min_norm_point_calls[0] == 35
 
 
 class TestVerifyTransformDistanceMulti:
