@@ -7,6 +7,7 @@ projections at desk scale.
 """
 
 import itertools
+import math
 
 import numpy as np
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ _MNP_MAX_ITER = 100_000
 _DYKSTRA_TOL = 1e-11
 _DYKSTRA_MAX_SWEEPS = 20_000
 _SUBSET_BLOCK = 4096  # d-subsets per stacked solve; ~3 MB of products at k = 64
+_FACET_MAX_SUBSETS = 3 * _SUBSET_BLOCK  # per enumeration in facets(), ~30 ms
 
 
 @dataclass(frozen=True)
@@ -197,10 +199,8 @@ def directed_hausdorff(U: Polytope, V: Polytope) -> float:
     Early break (Taha & Hanbury, IEEE TPAMI 2015): Wolfe's projection of u
     starts at the vertex of V nearest to u and only descends, so that
     distance bounds u's.  Vertices are projected in descending order of the
-    bound until the next bound is strictly below the running maximum; the
-    rest cannot raise it, and ties are still projected.  One-vertex sets
-    skip the bounds: V's projection is its bound, U has one projection.
-    """
+    bound until the next bound is strictly below the running maximum; ties
+    are still projected.  One-vertex sets skip the bounds."""
     return _scan_hausdorff(U, V, 0.0)
 
 
@@ -255,7 +255,7 @@ def contains_origin_interior(P: Polytope):
 
 
 def _subset_solutions(M, rhs, d):
-    """(X, M @ X) per block of d-subsets S of M's rows, X solving M[S] x = rhs[S].
+    """(M[S], X, M @ X) per block of d-subsets S of M's rows, M[S] x = rhs[S].
 
     Subsets come in itertools.combinations order; one is dropped exactly when
     its LU meets a zero pivot (slogdet sign 0), where np.linalg.solve raises.
@@ -268,7 +268,7 @@ def _subset_solutions(M, rhs, d):
         X = np.linalg.solve(A[ok], rhs[idx.reshape(-1, d)[ok]][..., None])
         with np.errstate(invalid="ignore"):  # 0 * inf where a solve overflowed
             MX = M @ X
-        yield X[..., 0], MX[..., 0]
+        yield A[ok], X[..., 0], MX[..., 0]
 
 
 def _polar_vertices(W):
@@ -276,7 +276,7 @@ def _polar_vertices(W):
     of the polar {y : <w, y> <= 1, w a row of W}, duplicates kept."""
     k, d = W.shape
     blocks = _subset_solutions(W, np.ones(k), d)
-    Y = [y for Y, WY in blocks for y in Y[(WY <= 1.0 + 1e-9).all(axis=1)]]
+    Y = [y for _, Y, WY in blocks for y in Y[(WY <= 1.0 + 1e-9).all(axis=1)]]
     return np.array(Y).reshape(-1, d)
 
 
@@ -340,31 +340,29 @@ class Facets(NamedTuple):
 
 def facets(P: Polytope):
     """Facets of conv(P) from the polar vertices y of {y : <v - c, y> <= 1},
-    c the vertex mean: row y / ||y||, offset 1 / ||y||; each vertex of P
-    meets each row to 1e-9 * scale.  Checked complete: each point that
-    enumerate_hrep_vertices finds for the H-polytope boxed at twice P's
-    radius (so no facet can go missing unseen) lies within 1e-9 * scale of a
-    vertex of P or, by Wolfe, of conv(P) (nearly singular subsets give edge
-    points); after its 1e-7 merge, the H-polytope lies within 1e-7 + 1e-9 *
-    scale of conv(P).  None if not, for dim > 4, k > 64, k <= dim, or flat P.
+    c the vertex mean: row y / ||y||, offset 1 / ||y||.  Checked complete:
+    each vertex of the H-polytope boxed at twice P's radius (so no facet
+    goes missing unseen) lies within 1e-9 * scale of a vertex of P, so after
+    the 1e-7 merge the H-polytope lies within 1e-7 + 1e-9 * scale of conv(P).
+    None if not, for dim > 4, k > 64, k <= dim or flat P, and where either
+    enumeration would solve over _FACET_MAX_SUBSETS d-subsets.
     """
     k, d = P.vertices.shape
-    if d > 4 or k > 64 or k <= d:
+    if d > 4 or k > 64 or k <= d or math.comb(k, d) > _FACET_MAX_SUBSETS:
         return None
     c = P.vertices.mean(axis=0)
     W = P.vertices - c
     Y = _polar_vertices(W)
     Y = Y[np.unique(Y.round(9), axis=0, return_index=True)[1]]
+    if not len(Y) or math.comb(len(Y) + 2 * d, d) > _FACET_MAX_SUBSETS:
+        return None
     off = 1.0 / np.linalg.norm(Y, axis=1)
     scale = float(off.max(initial=1.0))
     box = 2.0 * max(1.0, float(np.max(np.linalg.norm(W, axis=1))))
     rows = [(-y, -1.0) for y in Y] + [(s * e, -box) for e in np.eye(d) for s in (1.0, -1.0)]
     X = np.array(enumerate_hrep_vertices(rows, d)).reshape(-1, d)
-    tol = 1e-9 * scale
-    off_vertex = X[np.linalg.norm(X[:, None, :] - W, axis=2).min(axis=1) > tol]
-    if not len(Y) or not len(X) or any(
-        np.linalg.norm(min_norm_point(W - x)[0]) > tol for x in off_vertex
-    ):
+    near = np.linalg.norm(X[:, None, :] - W, axis=2).min(axis=1, initial=np.inf)
+    if not len(X) or near.max() > 1e-9 * scale:
         return None
     return Facets(c, Y * off[:, None], off, scale)
 
@@ -409,14 +407,18 @@ def enumerate_hrep_vertices(rows, dim: int):
     """Vertices of {x : <a_i, x> >= b_i}, dim <= 4, by basis enumeration.
 
     Every vertex is the unique solution of dim active rows; candidates are
-    filtered by feasibility against all rows and deduplicated.
+    filtered by feasibility against all rows and deduplicated.  Subsets of
+    rank < dim (singular values <= 1e-12 of the largest) solve to arbitrary
+    face points, e.g. on an edge that four facets of a 4-D polytope share.
     """
     A = np.array([np.asarray(a, dtype=float) for a, _ in rows])
     b = np.array([float(bb) for _, bb in rows])
     scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(A))))
     verts = []
-    for X, AX in _subset_solutions(A, b, dim):
+    for S, X, AX in _subset_solutions(A, b, dim):
         keep = np.isfinite(X).all(axis=1) & (AX >= b - 1e-8 * scale).all(axis=1)
+        sv = np.linalg.svd(S[keep], compute_uv=False)
+        keep[keep] = sv[:, -1] > 1e-12 * sv[:, 0]
         for x in X[keep]:
             if not any(np.linalg.norm(x - w) <= 1e-7 for w in verts):
                 verts.append(x)

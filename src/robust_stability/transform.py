@@ -11,10 +11,13 @@ The sampler projects an index point only where sigma reads the projection
 or its membership is not otherwise known.  A vertex or convex combination of
 U's vertices lies in U (likewise for V).  Other memberships are read off
 geometry.facets: a point beyond _FACET_BAND * scale of a facet hyperplane is
-outside, one that deep inside every facet is inside; the facet list is
-checked to hold conv(P) and lie within 1e-7 + 1e-9 * scale of it, so both
-answers are sound.  Points in that band, and sets without a facet list, are
-projected, U before V, each while an allowed index region has room.
+outside, one that deep inside every facet is inside; as the facet list is
+checked to lie within 1e-7 + 1e-9 * scale of conv(P), this is exact
+membership.  That it matches the projection's verdict (distance <=
+_MEMBERSHIP_TOL; Wolfe stops on a gap test or a stall) is measured, not
+derived: the transform-identity benchmark pools kept every bit.  Points in
+the band, and sets without a facet list, are projected, U before V, each
+while an allowed index region has room.
 """
 
 import numpy as np
@@ -71,11 +74,8 @@ def _has_room(inside, full):
 def _classify(t, U, V, home=None, full=(False,) * 4, hreps=(None, None)):
     """Cached membership data (in_u, in_v, proj_u, proj_v), or None if t
     falls inside the membership ambiguity band or only in full regions.  t
-    lies in `home` (0: U, 1: V) by construction; `hreps` holds the facets of
-    U and V (None: none known).  Memberships the facets leave open are
-    projected, U before V, each only while an allowed region has room.  A
-    projection sigma does not read may be left as t.
-    """
+    lies in `home` (0: U, 1: V); `hreps` holds U's and V's facets or None.
+    Projects as the module docstring says; an unread projection stays t."""
     inside, proj = [None, None], [t, t]
     if home is not None:
         inside[home] = True
@@ -103,9 +103,8 @@ def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
 
     Region targets are best-effort: rejection sampling with a stall cutoff,
     so empty regions (e.g. disjoint sets have no U-and-V points) are skipped
-    rather than spun on.  Projections are skipped as the module docstring
-    says; every draw, stall and accepted point is the same as with both
-    projections.  Returns (t, in_u, in_v, proj_u, proj_v) tuples.
+    rather than spun on.  Every draw, stall and accepted point is the same
+    as with both projections.  Returns (t, in_u, in_v, proj_u, proj_v).
     """
     rng = np.random.default_rng(plan.seed)
     hreps = (facets(U), facets(V))

@@ -343,7 +343,8 @@ def loop_inradius_best(V):
 
 
 def loop_hrep_vertices(rows, dim, tol=1e-8):
-    """Vertices of {x : A x >= b}: one solve per dim-subset of rows."""
+    """Vertices of {x : A x >= b}: one solve per dim-subset of rows, skipping
+    subsets of numerical rank < dim."""
     A = np.array([np.asarray(a, dtype=float) for a, _ in rows])
     b = np.array([float(bb) for _, bb in rows])
     scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(A))))
@@ -355,7 +356,8 @@ def loop_hrep_vertices(rows, dim, tol=1e-8):
             continue
         if not np.all(np.isfinite(x)):
             continue
-        if np.all(A @ x >= b - tol * scale):
+        s = np.linalg.svd(A[list(S)], compute_uv=False)
+        if np.all(A @ x >= b - tol * scale) and s[-1] > 1e-12 * s[0]:
             if not any(np.linalg.norm(x - w) <= 1e-7 for w in verts):
                 verts.append(x)
     return verts
@@ -559,15 +561,10 @@ class TestPolytopeBasics:
 
 
 def hrep_vertices(F):
-    """Vertices of {x : N (x - c) <= off}: the points enumerate_hrep_vertices
-    gives whose active rows have full rank (a nearly singular subset of rows
-    gives a point on an edge)."""
+    """Vertices of {x : N (x - c) <= off} by enumerate_hrep_vertices."""
     d = len(F.center)
     rows = [(-n, -(o + n @ F.center)) for n, o in zip(F.normals, F.offsets)]
-    X = np.array(geo.enumerate_hrep_vertices(rows, d))
-    slack = F.normals @ (X - F.center).T - F.offsets[:, None]
-    rank = [np.linalg.matrix_rank(F.normals[np.abs(s) <= 1e-9]) for s in slack.T]
-    return X[np.array(rank) == d]
+    return np.array(geo.enumerate_hrep_vertices(rows, d)).reshape(-1, d)
 
 
 def cross_polytope(d):
@@ -641,6 +638,34 @@ class TestFacets:
         ]
         for V in cases:
             assert geo.facets(geo.Polytope(V)) is None
+
+    def test_edge_shared_by_four_facets(self, rng):
+        """Four facets of a perturbed 4-D cross-polytope share each edge; the
+        singular subset of their rows gives no point."""
+        V = cross_polytope(4) + 1e-3 * rng.normal(size=(8, 4))
+        F = self.assert_describes(V, V)
+        assert len(F.normals) == 16
+
+    @pytest.mark.parametrize(
+        "k, listed", [(24, True), (24, False), (40, False), (64, False)]
+    )
+    def test_subset_cap(self, rng, k, listed):
+        """4-D sets with dozens of vertices.  A simplex and k - 5 inner points
+        (five facets) are listed; k points on the sphere give up at once: at
+        k = 24 the polar enumeration fits the cap but about 100 facets put
+        C(F + 8, 4) in the millions (seconds), beyond k = 24 C(k, 4) is over."""
+        if listed:
+            simplex = np.vstack([np.eye(4), -np.ones(4) / 4])
+            V = np.vstack([simplex, rng.dirichlet(np.ones(5), size=k - 5) @ simplex])
+        else:
+            V = rng.normal(size=(k, 4))
+            V /= np.linalg.norm(V, axis=1)[:, None]
+        start = time.perf_counter()
+        F = geo.facets(geo.Polytope(V))
+        assert time.perf_counter() - start < 0.5
+        assert (F is not None) == listed
+        if listed:
+            self.assert_describes(V, simplex)
 
     def test_dropped_polar_vertex(self, rng, monkeypatch):
         """A facet missing from the polar enumeration fails the check, also
