@@ -2,8 +2,7 @@
 
 Every module reads its defaults from here so that tests have a single knob.
 The environment variable ROBUST_STABILITY_TOL overrides the record: either a
-single number (applied to both fields) or a JSON object with any of the
-field names.
+single number or a JSON object with any of the field names.
 """
 
 import json
@@ -16,7 +15,6 @@ ENV_VAR = "ROBUST_STABILITY_TOL"
 @dataclass(frozen=True)
 class Tolerances:
     feasibility: float = 1e-9
-    optimality: float = 1e-9
 
 
 def default_tolerances() -> Tolerances:
@@ -29,11 +27,9 @@ def default_tolerances() -> Tolerances:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{ENV_VAR} is not valid JSON: {raw!r}") from exc
     if isinstance(data, (int, float)) and not isinstance(data, bool):
-        v = float(data)
-        return Tolerances(feasibility=v, optimality=v)
+        return Tolerances(feasibility=float(data))
     if isinstance(data, dict):
-        allowed = {"feasibility", "optimality"}
-        unknown = set(data) - allowed
+        unknown = set(data) - {"feasibility"}
         if unknown:
             raise ValueError(f"{ENV_VAR} has unknown fields: {sorted(unknown)}")
         return Tolerances(**{k: float(v) for k, v in data.items()})

@@ -288,45 +288,42 @@ class Inradius(NamedTuple):
 def inradius_at_origin(P: Polytope) -> Inradius:
     """Distance from the (interior) origin to the boundary of conv(P).
 
-    Polar-circumradius identity: r* = 1 / max{||y|| : <v_i, y> <= 1 for all
-    vertices}; the inner maximum is attained at a vertex of the polar
-    H-polytope, found by solving dim-subsets of active constraints in stacked
-    blocks.  An inradius or probe margin <= 1e-9 raises UnboundedPolarError.
-    A seeded direction sweep (flagged estimated) covers dim > 4 or > 64 vertices.
+    Probes the origin first: OriginNotInteriorError if it is not inside,
+    UnboundedPolarError for a probe margin <= 1e-9; then _polar_inradius.
     """
     inside, margin = contains_origin_interior(P)
     if not inside:
         raise OriginNotInteriorError("origin is not strictly inside conv(P)")
     if margin <= 1e-9:
         raise UnboundedPolarError("origin within tolerance of the boundary")
+    return _polar_inradius(P)
+
+
+def _polar_inradius(P: Polytope) -> Inradius:
+    """inradius_at_origin for an origin already known to be inside conv(P).
+
+    Polar-circumradius identity: r* = 1 / max{||y|| : <v_i, y> <= 1 for all
+    vertices}; the inner maximum is attained at a vertex of the polar
+    H-polytope, found by solving dim-subsets of active constraints in stacked
+    blocks.  An inradius <= 1e-9 or an empty vertex list raises
+    UnboundedPolarError.  For dim > 4 or > 64 vertices the value is the
+    certified lower bound margin / sqrt(dim) of a fresh probe, flagged
+    estimated: conv(P) contains the cross-polytope conv{+/- margin e_i},
+    whose inradius that is.
+    """
     V = P.vertices
     k, d = V.shape
-    if d <= 4 and k <= 64:
-        best = max((float(np.linalg.norm(y)) for y in _polar_vertices(V)), default=0.0)
-        if best <= default_tolerances().feasibility:
-            raise UnboundedPolarError("polar polytope has no vertices (degenerate)")
-        if 1.0 / best <= 1e-9:  # the probe margin's threshold
+    if d > 4 or k > 64:
+        margin = contains_origin_interior(P)[1]  # 0.0 when not inside
+        if margin <= 1e-9:
             raise UnboundedPolarError("origin within tolerance of the boundary")
-        return Inradius(value=1.0 / best, estimated=False)
-    # fallback: minimize the support function h(u) = max_i <v_i, u> over unit
-    # directions by seeded sweep plus shrinking local refinement
-    rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((2000 * d, d))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    support = np.max(V @ dirs.T, axis=0)
-    best_dir = dirs[int(np.argmin(support))]
-    best_val = float(np.min(support))
-    width = 1.0
-    for _ in range(60):
-        cand = best_dir[None, :] + width * rng.standard_normal((40, d))
-        cand /= np.linalg.norm(cand, axis=1)[:, None]
-        vals = np.max(V @ cand.T, axis=0)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_dir = cand[j]
-        width *= 0.85
-    return Inradius(value=best_val, estimated=True)
+        return Inradius(value=margin / math.sqrt(d), estimated=True)
+    best = max((float(np.linalg.norm(y)) for y in _polar_vertices(V)), default=0.0)
+    if best <= default_tolerances().feasibility:
+        raise UnboundedPolarError("polar polytope has no vertices (degenerate)")
+    if 1.0 / best <= 1e-9:  # the probe margin's threshold
+        raise UnboundedPolarError("origin within tolerance of the boundary")
+    return Inradius(value=1.0 / best, estimated=False)
 
 
 class Facets(NamedTuple):

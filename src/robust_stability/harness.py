@@ -87,9 +87,9 @@ def load_problem(path_or_obj) -> RobustProblem:
 def problem_from_dict(data: dict) -> RobustProblem:
     if not isinstance(data, dict):
         raise SchemaError("problem must be a JSON object")
-    if "n" not in data or not isinstance(data["n"], int) or data["n"] < 1:
+    n = data.get("n")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError('field "n" must be a positive integer')
-    n = data["n"]
     has_cost = "cost" in data
     has_set = "costSet" in data
     if has_cost == has_set:

@@ -243,31 +243,3 @@ def slater_constant(rows):
         point=res.solution[:n].copy(), rho=float(rho), capped=rho >= _SLATER_CAP - 1e-6
     )
 
-
-def optimal_face_bounded(lp: LinearProgram) -> bool:
-    """True iff the optimal face of a solvable LP is bounded.
-
-    Recession-cone test: the face is bounded iff the cone
-    {d : <a_t, d> >= 0, <c, d> = 0} is {0}; checked by 2n LPs maximizing
-    +/- d_i over the cone intersected with the unit box.
-    """
-    tol = default_tolerances().optimality
-    n = lp.n
-    rows = [(lp.a_matrix[i], 0.0) for i in range(lp.m)]
-    rows.append((lp.cost, 0.0))
-    rows.append((-lp.cost, 0.0))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        rows.append((e, -1.0))
-        rows.append((-e, -1.0))
-    for i in range(n):
-        for s in (1.0, -1.0):
-            cost = np.zeros(n)
-            cost[i] = -s  # maximize s * d_i
-            res = solve(LinearProgram.from_rows(cost, rows))
-            if res.status != OPTIMAL:
-                raise NumericalBreakdownError(f"recession LP status {res.status}")
-            if -res.value > 100 * max(tol, 1e-8):
-                return False
-    return True

@@ -42,13 +42,15 @@ class EpsArgmin:
         return self.rows[0][0].shape[0]
 
 
+_DIRECTION_COUNT = 64  # boundary rays of an inexact truncated excess
+_SEED = 0  # of those rays and of d_r_metric's random points
+
+
 @dataclass(frozen=True)
 class TruncatedDistParams:
     r: float
     r0: float
     grid_resolution: float = 0.05
-    direction_count: int = 64
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.r > self.r0 > 0):
@@ -89,12 +91,19 @@ def _dist_to(C: Union[EpsArgmin, Polytope], x) -> float:
     return project_onto_halfspaces(x, C.rows)[1]
 
 
-def _vertex_candidates(C: Union[EpsArgmin, Polytope]):
+def _vertex_candidates(C: Union[EpsArgmin, Polytope], r: float):
+    """Vertices of C; an EpsArgmin is cut by the box |x_i| <= 2r first, whose
+    own vertices have norm > r, so an unbounded set never reads as exact.
+    The box rows are scaled into [-1, 1], which leaves the feasibility
+    tolerance of enumerate_hrep_vertices (relative to the largest entry) as
+    it is for C's own rows."""
     if isinstance(C, Polytope):
         return [v for v in C.vertices]
     if C.dim > 4:
         return None  # estimator-only above desk scale
-    return enumerate_hrep_vertices(C.rows, C.dim)
+    w = 1.0 / max(1.0, 2.0 * r)
+    box = [(s * w * e, -2.0 * r * w) for e in np.eye(C.dim) for s in (1.0, -1.0)]
+    return enumerate_hrep_vertices(list(C.rows) + box, C.dim)
 
 
 def _interior_anchor(C: Union[EpsArgmin, Polytope], r: float):
@@ -117,7 +126,7 @@ def _truncated_excess(C, D, params: TruncatedDistParams):
     r = params.r
     candidates = []
     exact = True
-    verts = _vertex_candidates(C)
+    verts = _vertex_candidates(C, r)
     if verts is None:
         exact = False
         verts = []
@@ -128,9 +137,9 @@ def _truncated_excess(C, D, params: TruncatedDistParams):
     if not exact or not candidates:
         # boundary samples of C cap sphere(r): walk rays from an interior
         # anchor and bisect for the last point in C with norm <= r
-        rng = np.random.default_rng(params.seed)
+        rng = np.random.default_rng(_SEED)
         anchor = _interior_anchor(C, r)
-        dirs = rng.standard_normal((params.direction_count, C.dim))
+        dirs = rng.standard_normal((_DIRECTION_COUNT, C.dim))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         for u in dirs:
             lo, hi = 0.0, 4.0 * r
@@ -186,7 +195,7 @@ def d_r_metric(
             mesh = np.array(np.meshgrid(*([axis] * dim))).reshape(dim, -1).T
             mesh = mesh[np.linalg.norm(mesh, axis=1) <= r]
             pts.append(mesh)
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(_SEED)
     rand = rng.standard_normal((512, dim))
     rand /= np.linalg.norm(rand, axis=1)[:, None]
     rand *= r * rng.uniform(0, 1, size=(512, 1)) ** (1.0 / dim)

@@ -20,15 +20,15 @@ from .errors import (
     HypothesisViolatedError,
     NotInteriorSolvableError,
     NuNotFiniteError,
-    OriginNotInteriorError,
     SlaterFailedError,
     UnboundedPolarError,
 )
 from .geometry import (
     HSet,
     Polytope,
+    _polar_inradius,
+    contains_origin_interior,
     dist_origin_to_hset,
-    inradius_at_origin,
 )
 from .model import (
     IndexedRow,
@@ -131,7 +131,14 @@ class InteriorSolvableResult:
 
 
 def check_interior_solvable(pi: LsioProblem) -> InteriorSolvableResult:
-    """Slater + solvable + bounded optimal face (=> interior of the solvable set)."""
+    """Slater + solvable + bounded optimal face (=> interior of the solvable set).
+
+    For a solvable problem c.d >= 0 on {A d >= 0}, so the optimal face's
+    recession cone {d : A d >= 0, c.d = 0} is {d : <a_t, d> >= 0,
+    <-c, d> >= 0}.  That cone is {0} iff the a_t and -c positively span R^n,
+    i.e. iff the origin lies strictly inside Z-; the probe of
+    contains_origin_interior answers it.
+    """
     slater = lpmod.slater_constant([(r.a, r.b) for r in pi.rows])
     res = lpmod.solve(pi.to_lp())
     bounded = False
@@ -141,9 +148,9 @@ def check_interior_solvable(pi: LsioProblem) -> InteriorSolvableResult:
     elif res.status != lpmod.OPTIMAL:
         failing = f"solvability (status {res.status})"
     else:
-        bounded = lpmod.optimal_face_bounded(pi.to_lp())
+        bounded = contains_origin_interior(build_Zminus(pi))[0]
         if not bounded:
-            failing = "bounded optimal face"
+            failing = "bounded optimal face (origin strictly inside Z-)"
     return InteriorSolvableResult(
         ok=failing == "",
         slater=slater,
@@ -156,14 +163,15 @@ def check_interior_solvable(pi: LsioProblem) -> InteriorSolvableResult:
 def _boundary_distances(pi: LsioProblem):
     """(canonical problem, distance to infeasibility, inradius of Z- at 0).
 
-    Assumes pi is interior-solvable; the only check left here is the origin
-    strictly inside Z-, which inradius_at_origin makes itself.
+    Assumes pi passed check_interior_solvable, itself or with the same Z-
+    hull (the augmented problem's zero slack row adds the interior point 0),
+    so the origin is already known to lie strictly inside Z-.
     """
     canon = LsioProblem(cost=pi.cost, rows=_canonical_rows(pi.rows))
     dist_infeas = dist_origin_to_hset(build_H(canon.rows))
     try:
-        d_z = inradius_at_origin(build_Zminus(canon)).value
-    except (OriginNotInteriorError, UnboundedPolarError) as exc:
+        d_z = _polar_inradius(build_Zminus(canon)).value
+    except UnboundedPolarError as exc:
         raise NotInteriorSolvableError(
             "origin not strictly interior to Z-(pi); boundary-case input rejected"
         ) from exc

@@ -32,6 +32,7 @@ _MEMBERSHIP_TOL = 1e-9
 _AMBIGUITY_BAND = 1e-9
 _FACET_BAND = 1e-6
 _IDENTITY_TOL = 1e-6
+_BOX_MARGIN = 1.0  # random draws fill the vertices' bounding box plus this
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,6 @@ class SamplePlan:
 
     seed: int = 0
     counts: tuple = (50, 50, 50, 50)
-    box_margin: float = 1.0
 
 
 def eval_sigma_uv(t, U: Polytope, V: Polytope, b: float, rho: float) -> np.ndarray:
@@ -115,8 +115,8 @@ def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
             if cls is not None:
                 out.append((v, *cls))
     all_v = np.vstack([U.vertices, V.vertices])
-    lo = all_v.min(axis=0) - plan.box_margin
-    hi = all_v.max(axis=0) + plan.box_margin
+    lo = all_v.min(axis=0) - _BOX_MARGIN
+    hi = all_v.max(axis=0) + _BOX_MARGIN
     want = list(plan.counts)
     got = [0, 0, 0, 0]
     stall = 0

@@ -313,6 +313,20 @@ class TestInradius:
         r = geo.inradius_at_origin(geo.Polytope([[1, 3e-9], [1, -3e-9], [-1, 0]]))
         assert r.value == pytest.approx(1.5e-9, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_fallback_cross_polytope(self, d):
+        # above dim 4 the value is margin / sqrt(d), exact for cross-polytopes
+        r = geo.inradius_at_origin(geo.Polytope(np.vstack([np.eye(d), -np.eye(d)])))
+        assert r.estimated and r.value == pytest.approx(1.0 / np.sqrt(d), abs=1e-12)
+
+    def test_fallback_is_a_lower_bound(self):
+        # a regular 80-gon (k > 64): inradius cos(pi / 80), margin 1
+        angles = 2.0 * np.pi * np.arange(80) / 80
+        r = geo.inradius_at_origin(geo.Polytope(np.c_[np.cos(angles), np.sin(angles)]))
+        assert r.estimated
+        assert r.value == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+        assert r.value <= np.cos(np.pi / 80)
+
     def test_largest_exact_case(self, rng):
         # k = 64, d = 4: 635,376 subsets; the polar of the cross-polytope is
         # the cube [-1, 1]^4 and the interior points (l1 norm <= 0.8) cut

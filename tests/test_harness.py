@@ -233,6 +233,16 @@ class TestCli:
         assert code == 1
         assert rep["error"] == "SchemaError"
 
+    def test_boolean_n_exits_1(self, tmp_path, capsys):
+        data = dict(toy_problem_dict(), n=True)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        code = hn.cli(["solve", str(p)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1
+        rep = json.loads(lines[0])
+        assert rep["error"] == "SchemaError" and '"n"' in rep["message"]
+
     @pytest.mark.parametrize(
         "entry",
         [

@@ -230,15 +230,3 @@ class TestSlater:
                 scaled = [(s * a, s * b) for a, b in rows]
                 cert3 = lp.slater_constant(scaled)
                 assert cert3.rho == pytest.approx(s * cert.rho, abs=1e-7)
-
-
-class TestOptimalFaceBounded:
-    def test_point_optimum(self):
-        assert lp.optimal_face_bounded(_lp([1.0], [([1.0], 1.0)]))
-
-    def test_line_optimum(self):
-        assert not lp.optimal_face_bounded(_lp([1.0, 0.0], [([1.0, 0.0], 0.0)]))
-
-    def test_corner_optimum(self):
-        prob = _lp([1.0, 1.0], [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0)])
-        assert lp.optimal_face_bounded(prob)

@@ -108,6 +108,17 @@ class TestTruncatedHausdorff:
             assert not td.estimate
             assert td.value == pytest.approx(hausdorff(C, D), abs=1e-7)
 
+    def test_box_keeps_the_vertices_of_a_bounded_set(self):
+        # [0, 1] with a row x >= -5e-8 listed first: its solution -5e-8 is
+        # infeasible by more than 1e-8 * scale and must stay filtered out,
+        # not shadow the vertex 0, when the box |x| <= 2r joins the rows
+        E = sd.EpsArgmin(
+            rows=((np.ones(1), -5e-8), (np.ones(1), 0.0), (-np.ones(1), -1.0)),
+            epsilon=1.0, nu=0.0, witness=np.zeros(1),
+        )
+        inside = [v for v in sd._vertex_candidates(E, 4.0) if abs(v[0]) <= 4.0]
+        assert [v.tolist() for v in inside] == [[0.0], [1.0]]
+
     def test_symmetry(self, rng):
         C = Polytope(rng.normal(size=(4, 2)))
         D = Polytope(rng.normal(size=(4, 2)))
@@ -188,7 +199,7 @@ class TestCheckEpsArgminLipschitz:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_solves_each_counterpart_once(self, rng, lp_solve_calls, n):
-        # Slater LP, 2n recession LPs and one solve of each counterpart
+        # Slater LP, 2n probes of Z- and one solve of each counterpart
         rp = random_feasible_instance(rng, n=n)
         rpV = shifted_instance(rp, rng, 1e-3)
         sd.check_eps_argmin_lipschitz(rp, rpV, eps=0.3)
@@ -206,3 +217,25 @@ class TestCheckEpsArgminLipschitz:
         )
         with pytest.raises(HypothesisViolatedError):
             sd.check_eps_argmin_lipschitz(rp, rp, eps=0.1)
+
+    def test_unbounded_perturbed_set_is_inexact(self):
+        # U: x1 >= -1, -1 <= x2 <= 1, min x1.  V frees x2 upward (its last
+        # row reads 0.001 x2 >= -0.1), so V's eps-argmin is unbounded and
+        # reaches x2 ~ r inside the r-ball, far from U's (x2 <= 1).  Its
+        # vertices alone all lie in U's eps-argmin, so a vertex-only
+        # candidate list reads 0 and calls the side exact.
+        from robust_stability.model import RobustProblem
+
+        def rp(last):
+            sets = {
+                "a": Polytope([[1.0, 0.0, -1.0]]),
+                "b": Polytope([[0.0, 1.0, -1.0]]),
+                "c": Polytope([last]),
+            }
+            return RobustProblem(constraint_sets=sets, cost=[1.0, 0.0])
+
+        rep = sd.check_eps_argmin_lipschitz(
+            rp([0.0, -0.1, -0.1]), rp([0.0, 0.001, -0.1]), eps=0.3
+        )
+        assert rep.context["r"] == 4.0 and rep.context["estimate"] is True
+        assert rep.measured == pytest.approx(2.938, abs=1e-3)

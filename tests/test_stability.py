@@ -11,8 +11,9 @@ from robust_stability.errors import (
     NuNotFiniteError,
     SlaterFailedError,
 )
-from robust_stability.geometry import dist_origin_to_hset
-from robust_stability.model import IndexedRow, LsioProblem, robust_counterpart
+from robust_stability.geometry import Polytope, dist_origin_to_hset
+from robust_stability.model import IndexedRow, LsioProblem, RobustProblem, robust_counterpart
+from robust_stability.setdist import check_eps_argmin_lipschitz
 
 from conftest import random_feasible_instance, shifted_instance
 
@@ -124,6 +125,71 @@ class TestInteriorSolvable:
             st.distance_to_bd_solvable(pi)
 
 
+def recession_face_bounded(pi):
+    """Reference for the bounded-face verdict of a solvable problem: the
+    recession cone {d : A d >= 0, <c, d> = 0} of the optimal face is {0};
+    2n LPs maximize +/- d_i over that cone cut by the unit box."""
+    n = pi.dim
+    rows = [(r.a, 0.0) for r in pi.rows] + [(pi.cost, 0.0), (-pi.cost, 0.0)]
+    rows += [(s * e, -1.0) for e in np.eye(n) for s in (1.0, -1.0)]
+    for e in np.eye(n):
+        for s in (1.0, -1.0):
+            res = lp.solve(lp.LinearProgram.from_rows(-s * e, rows))
+            assert res.status == lp.OPTIMAL
+            if -res.value > 1e-7:
+                return False
+    return True
+
+
+class TestBoundedFace:
+    """check_interior_solvable's bounded-face verdict: origin strictly inside Z-."""
+
+    def test_point_optimum(self):
+        pi = LsioProblem(cost=[1.0], rows=rows_of(([1.0], 1.0)))
+        assert st.check_interior_solvable(pi).bounded_face
+
+    def test_line_optimum(self):
+        pi = LsioProblem(cost=[1.0, 0.0], rows=rows_of(([1.0, 0.0], 0.0)))
+        r = st.check_interior_solvable(pi)
+        assert not r.bounded_face and "Z-" in r.failing
+
+    def test_corner_optimum(self):
+        pi = LsioProblem(
+            cost=[1.0, 1.0], rows=rows_of(([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0))
+        )
+        assert st.check_interior_solvable(pi).bounded_face
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_agrees_with_recession_cone(self, rng, n):
+        # box rows keep the face bounded.  Dropping one and zeroing the cost
+        # along it leaves the face bounded only where an uncertain row takes
+        # over; freeing a coordinate (its box rows dropped, its entries
+        # zeroed) always makes the face unbounded.
+        verdicts = {0: set(), 1: set(), 2: set()}
+        for trial in range(60):
+            pi = robust_counterpart(random_feasible_instance(rng, n=n))
+            mode = trial % 3
+            rows, cost = pi.rows, pi.cost
+            if mode == 1:
+                drop = rows[int(rng.integers(len(rows) - 2 * n, len(rows)))]
+                rows = tuple(r for r in rows if r is not drop)
+                cost = np.where(drop.a != 0.0, 0.0, cost)
+            if mode == 2:
+                free = np.arange(n) == int(rng.integers(n))
+                rows = tuple(
+                    IndexedRow(r.label, np.where(free, 0.0, r.a), r.b)
+                    for r in rows
+                    if not (r.label.startswith(("lo", "hi")) and r.a[free].any())
+                )
+                cost = np.where(free, 0.0, cost)
+            pi = LsioProblem(cost=cost, rows=rows)
+            r = st.check_interior_solvable(pi)
+            assert r.slater is not None and r.solve_result.status == lp.OPTIMAL
+            assert r.bounded_face == recession_face_bounded(pi), trial
+            verdicts[mode].add(r.bounded_face)
+        assert verdicts == {0: {True}, 1: {True, False}, 2: {False}}
+
+
 def straight_line_constants(pi, nu, eps):
     """Independent transcription of the constant formulas, no shared helpers."""
     import math
@@ -203,6 +269,14 @@ class TestLipschitzConstant:
             for k, v in base.to_dict().items():
                 assert other.to_dict()[k] == v, k  # bit-exact
 
+    def test_d_z_above_dim_4(self):
+        # n = 6 box |x_i| <= 1, c = 1: Z- = conv{+/- e_i, -c} keeps the
+        # cross-polytope's facet sum(x) = 1, so d_z = 1 / sqrt(6) exactly,
+        # which the lower bound margin / sqrt(6) meets
+        box = [(s * e, -1.0) for e in np.eye(6) for s in (1.0, -1.0)]
+        pi = LsioProblem(cost=np.ones(6), rows=rows_of(*box))
+        assert st.lipschitz_constant(pi).d_z == pytest.approx(1.0 / np.sqrt(6), abs=1e-12)
+
     def test_boundary_case_rejected(self):
         # unbounded optimal face (x2 free on the optimal set): the origin sits
         # on the boundary of Z-, so no constants exist for this problem
@@ -218,8 +292,9 @@ class TestLipschitzConstant:
         ids=["lipschitz_constant", "distance_to_bd_solvable"],
     )
     def test_zminus_boundary_rejected(self, monkeypatch, entry):
-        # Z- = conv{(1, 0), (-1, 0)} is a segment through the origin.  The
-        # other hypotheses are forced to pass, so only the Z- check rejects.
+        # Z- = conv{(1, 0), (-1, 0)} is a segment through the origin.
+        # check_interior_solvable is forced to pass, so only the inradius's
+        # own check (its polar has no vertices) rejects.
         pi = LsioProblem(cost=[1.0, 0.0], rows=rows_of(
             ([1.0, 0.0], 1.0), ([-1.0, 0.0], -2.0)
         ))
@@ -234,30 +309,37 @@ class TestLipschitzConstant:
 
     @pytest.mark.parametrize("d", [1.2e-9, 1.5e-9, 2e-9])
     def test_zminus_within_tolerance_rejected(self, d):
-        # min x1 s.t. x1 +/- d x2 >= -1 passes the other hypotheses, and
-        # Z- = conv{(1, d), (1, -d), (-1, 0)} has inradius d/2 <= 1e-9
+        # min x1 s.t. x1 +/- d x2 >= -1 is Slater and solvable, but
+        # Z- = conv{(1, d), (1, -d), (-1, 0)} has inradius d/2 <= 1e-9, so
+        # the bounded-face check rejects it (its eps-argmin is ~eps/d long)
         pi = LsioProblem(cost=[1.0, 0.0], rows=rows_of(
             ([1.0, d], -1.0), ([1.0, -d], -1.0)
         ))
-        assert st.check_interior_solvable(pi).ok
+        r = st.check_interior_solvable(pi)
+        assert r.slater is not None and r.solve_result.status == lp.OPTIMAL
+        assert not r.ok and "Z-" in r.failing
         with pytest.raises(NotInteriorSolvableError, match="Z-"):
             st.lipschitz_constant(pi)
+        sets = {"t0": Polytope([[1.0, d, -1.0]]), "t1": Polytope([[1.0, -d, -1.0]])}
+        rp = RobustProblem(constraint_sets=sets, cost=[1.0, 0.0])
+        with pytest.raises(HypothesisViolatedError, match="Z-"):
+            check_eps_argmin_lipschitz(rp, rp, eps=0.1)
 
 
 class TestSolveCounts:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_checker_solves_each_lp_once(self, rng, lp_solve_calls, n):
-        # Slater LP, the solve, 2n recession LPs, 2n probes of Z-
+        # Slater LP, the solve, 2n probes of Z- (the bounded-face check)
         rp = random_feasible_instance(rng, n=n)
         st.ValueLipschitzChecker(rp)
-        assert lp_solve_calls[0] == 2 + 4 * n
+        assert lp_solve_calls[0] == 2 + 2 * n
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_lipschitz_constant_solves_each_lp_once(self, rng, lp_solve_calls, n):
         # the check's solve of the canonical problem also gives nu
         pi = robust_counterpart(random_feasible_instance(rng, n=n))
         st.lipschitz_constant(pi)
-        assert lp_solve_calls[0] == 2 + 4 * n
+        assert lp_solve_calls[0] == 2 + 2 * n
 
 
 class TestAugmentation:

@@ -78,8 +78,8 @@ def eager_sample_index_points(U, V, plan):
         if cls is not None:
             out.append((v, *cls))
     all_v = np.vstack([U.vertices, V.vertices])
-    lo = all_v.min(axis=0) - plan.box_margin
-    hi = all_v.max(axis=0) + plan.box_margin
+    lo = all_v.min(axis=0) - tf._BOX_MARGIN
+    hi = all_v.max(axis=0) + tf._BOX_MARGIN
     want = list(plan.counts)
     got = [0, 0, 0, 0]
     stall = 0
