@@ -36,7 +36,7 @@ print(f"{'magnitude':>10} {'d_nat':>10} {'|dnu|':>12} {'L*d_nat':>12} {'ok':>4}"
 for mag in (1e-2, 1e-3, 1e-4, 1e-5):
     rpV = perturbed_problem(rp, "translate", mag, rng)
     rep = checker.check(rpV)
-    d = constraintwise_distance(rp, rpV).value
+    d = constraintwise_distance(rp, rpV)
     print(
         f"{mag:10.0e} {d:10.2e} {rep.measured:12.4e} {rep.bound:12.4e} "
         f"{'yes' if rep.passed else 'NO':>4}"

@@ -99,7 +99,7 @@ def _affine_minimizer(B):
         sol = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:
         sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
     return sol[:k]
 
@@ -114,19 +114,20 @@ def min_norm_point(points: np.ndarray):
     """
     P = np.asarray(points, dtype=float)
     k = P.shape[0]
-    scale = max(1.0, float(np.max(np.sum(P * P, axis=1))))
-    start = int(np.argmin(np.sum(P * P, axis=1)))
+    norms2 = np.sum(P * P, axis=1)
+    scale = max(1.0, float(norms2.max()))
+    start = int(norms2.argmin())
     S = [start]
     lam = np.array([1.0])
     x = P[start].copy()
     for _ in range(_MNP_MAX_ITER):
         dots = P @ x
-        j = int(np.argmin(dots))
-        if x @ x - dots[j] <= _MNP_GAP_TOL * scale:
+        j = int(dots.argmin())
+        f_prev = x @ x
+        if f_prev - dots[j] <= _MNP_GAP_TOL * scale:
             break
         if j in S:
             break  # numerically stalled; gap is already tiny
-        f_prev = x @ x
         S.append(j)
         lam = np.append(lam, 0.0)
         # minor cycles: move to the affine minimizer, dropping vertices that
@@ -140,12 +141,12 @@ def min_norm_point(points: np.ndarray):
             neg = a <= 1e-12
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(neg, lam / (lam - a), np.inf)
-            theta = float(np.min(ratios))
+            theta = float(ratios.min())
             theta = min(max(theta, 0.0), 1.0)
             lam = (1.0 - theta) * lam + theta * a
             keep = lam > 1e-12
             if keep.all():  # safeguard against cycling on ties
-                keep[int(np.argmin(lam))] = False
+                keep[int(lam.argmin())] = False
             S = [s for s, kp in zip(S, keep) if kp]
             lam = lam[keep]
             lam = lam / lam.sum()
@@ -177,19 +178,48 @@ def project_onto_polytope(p, P: Polytope):
     return q, float(np.linalg.norm(x))
 
 
-def _scan_hausdorff(U: Polytope, V: Polytope, best: float) -> float:
-    """max(best, directed_hausdorff(U, V)) by the early break."""
+def _nearest_bounds(U: Polytope, V: Polytope):
+    """(U's, V's) vertex distances to the nearest vertex of the other set:
+    Wolfe's start, so each bounds that vertex's projection distance."""
     if U.dim != V.dim:
         raise DimensionMismatchError("polytopes have different dimensions")
-    if len(U.vertices) == 1 or len(V.vertices) == 1:  # no bound is cheaper
-        return max([best] + [project_onto_polytope(u, V)[1] for u in U.vertices])
     D = V.vertices[None, :, :] - U.vertices[:, None, :]
-    nearest = D[np.arange(len(D)), np.argmin(np.sum(D * D, axis=2), axis=1)]
-    bounds = [float(np.linalg.norm(x)) for x in nearest]
+    D2 = (D * D).sum(axis=2)
+    to_v = [D[i, j] for i, j in enumerate(D2.argmin(axis=1).tolist())]
+    to_u = [D[i, j] for j, i in enumerate(D2.argmin(axis=0).tolist())]
+    # np.linalg.norm's own arithmetic, as project_onto_polytope reports it
+    return [math.sqrt(x.dot(x)) for x in to_v], [math.sqrt(x.dot(x)) for x in to_u]
+
+
+def _scan_hausdorff(U: Polytope, V: Polytope, bounds, best: float, known) -> float:
+    """max(best, directed_hausdorff(U, V)) by the early break; `known` maps
+    vertex indices of U to distances already projected.  Onto a one-vertex
+    V the bound is the projection's distance, bit for bit."""
     for i in sorted(range(len(bounds)), key=lambda i: -bounds[i]):
         if bounds[i] < best:
             break
-        best = max(best, project_onto_polytope(U.vertices[i], V)[1])
+        d = known.get(i)
+        if d is None:
+            d = bounds[i] if len(V.vertices) == 1 else project_onto_polytope(U.vertices[i], V)[1]
+        best = max(best, d)
+    return best
+
+
+def _hausdorff_max(pairs, known=None) -> float:
+    """max of d_H(U, V) over pairs (U, V): pairs are visited in descending
+    order of their largest vertex bound, until one is strictly below the
+    running maximum, and scanned from that maximum.  known[k, side] maps
+    vertex indices of pairs[k][side] to distances already projected."""
+    known = known or {}
+    scans = [(U, V, *_nearest_bounds(U, V)) for U, V in pairs]
+    bound = [max(bu + bv) for _, _, bu, bv in scans]
+    best = 0.0
+    for k in sorted(range(len(scans)), key=lambda k: -bound[k]):
+        if bound[k] < best:
+            break
+        U, V, bu, bv = scans[k]
+        best = _scan_hausdorff(U, V, bu, best, known.get((k, 0), {}))
+        best = _scan_hausdorff(V, U, bv, best, known.get((k, 1), {}))
     return best
 
 
@@ -200,14 +230,19 @@ def directed_hausdorff(U: Polytope, V: Polytope) -> float:
     starts at the vertex of V nearest to u and only descends, so that
     distance bounds u's.  Vertices are projected in descending order of the
     bound until the next bound is strictly below the running maximum; ties
-    are still projected.  One-vertex sets skip the bounds."""
-    return _scan_hausdorff(U, V, 0.0)
+    are still projected."""
+    return _scan_hausdorff(U, V, _nearest_bounds(U, V)[0], 0.0, {})
 
 
-def hausdorff(U: Polytope, V: Polytope) -> float:
-    """Symmetric Hausdorff distance between conv(U) and conv(V); the second
-    directed scan breaks early against the first one's maximum."""
-    return _scan_hausdorff(V, U, _scan_hausdorff(U, V, 0.0))
+def hausdorff(U, V) -> float:
+    """Symmetric Hausdorff distance between conv(U) and conv(V).
+
+    For equal-length sequences of polytopes, max_k d_H(U[k], V[k]) (d_nat
+    of constraint sets), in one scan that skips every pair whose bound
+    cannot raise the maximum (_hausdorff_max).
+    """
+    pairs = [(U, V)] if isinstance(U, Polytope) else list(zip(U, V, strict=True))
+    return _hausdorff_max(pairs)
 
 
 def dist_origin_to_hset(H: HSet) -> float:
@@ -404,16 +439,18 @@ def enumerate_hrep_vertices(rows, dim: int):
     """Vertices of {x : <a_i, x> >= b_i}, dim <= 4, by basis enumeration.
 
     Every vertex is the unique solution of dim active rows; candidates are
-    filtered by feasibility against all rows and deduplicated.  Subsets of
+    filtered by feasibility against all rows, row i at its own scale
+    (violation <= 1e-8 * max(1, |b_i|, max_j |a_ij|), so that one row with
+    large entries loosens no other), and deduplicated.  Subsets of
     rank < dim (singular values <= 1e-12 of the largest) solve to arbitrary
     face points, e.g. on an edge that four facets of a 4-D polytope share.
     """
     A = np.array([np.asarray(a, dtype=float) for a, _ in rows])
     b = np.array([float(bb) for _, bb in rows])
-    scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(A))))
+    tol = 1e-8 * np.maximum(np.maximum(1.0, np.abs(b)), np.abs(A).max(axis=1))
     verts = []
     for S, X, AX in _subset_solutions(A, b, dim):
-        keep = np.isfinite(X).all(axis=1) & (AX >= b - 1e-8 * scale).all(axis=1)
+        keep = np.isfinite(X).all(axis=1) & (AX >= b - tol).all(axis=1)
         sv = np.linalg.svd(S[keep], compute_uv=False)
         keep[keep] = sv[:, -1] > 1e-12 * sv[:, 0]
         for x in X[keep]:

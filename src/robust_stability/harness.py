@@ -236,7 +236,7 @@ def run_perturbation_suite(rp: RobustProblem, config: ExperimentConfig):
         rng = _trial_rng(config.seed, i)
         magnitude = config.magnitude_schedule[i % len(config.magnitude_schedule)]
         rpV = perturbed_problem(rp, config.perturbation_kind, magnitude, rng)
-        d_nat = constraintwise_distance(rp, rpV).value
+        d_nat = constraintwise_distance(rp, rpV)
         if not d_nat < checker.constants.epsilon:
             raise HypothesisViolatedError(
                 f"trial {i}: d_nat = {d_nat} reaches the admissible "
@@ -286,7 +286,7 @@ def run_convergence_suite(rp: RobustProblem, config: ExperimentConfig):
         rng = _trial_rng(config.seed, 0)  # same stream: same direction each step
         magnitude = config.magnitude_schedule[0] * (2.0 ** -(j - 1))
         rpV = perturbed_problem(rp, config.perturbation_kind, magnitude, rng)
-        d_nat = constraintwise_distance(rp, rpV).value
+        d_nat = constraintwise_distance(rp, rpV)
         res = lpmod.solve(robust_counterpart(rpV).to_lp())
         if res.status != lpmod.OPTIMAL:
             raise HypothesisViolatedError(f"step {j}: perturbed status {res.status}")

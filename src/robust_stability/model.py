@@ -169,24 +169,17 @@ def delta_pi(p1: LsioProblem, p2: LsioProblem) -> float:
     return max(float(np.linalg.norm(p1.cost - p2.cost)), delta_sigma(p1, p2))
 
 
-@dataclass(frozen=True)
-class ConstraintwiseDistance:
-    per_constraint: dict
-    value: float
-
-
-def constraintwise_distance(rpU: RobustProblem, rpV: RobustProblem) -> ConstraintwiseDistance:
-    """d_nat: sup over alpha of d_H(U_alpha, V_alpha)."""
+def constraintwise_distance(rpU: RobustProblem, rpV: RobustProblem) -> float:
+    """d_nat: sup over alpha of d_H(U_alpha, V_alpha), in one scan over all
+    the pairs that skips each pair whose nearest-vertex bound is strictly
+    below the running maximum (geometry.hausdorff on sequences)."""
     if set(rpU.constraint_sets) != set(rpV.constraint_sets):
         raise IndexMismatchError(
             f"constraint labels differ: "
             f"{sorted(set(rpU.constraint_sets) ^ set(rpV.constraint_sets))}"
         )
-    per = {
-        alpha: hausdorff(rpU.constraint_sets[alpha], rpV.constraint_sets[alpha])
-        for alpha in rpU.constraint_sets
-    }
-    return ConstraintwiseDistance(per_constraint=per, value=max(per.values()))
+    U = rpU.constraint_sets
+    return hausdorff(list(U.values()), [rpV.constraint_sets[alpha] for alpha in U])
 
 
 def _collapse(rows, tol):

@@ -255,7 +255,7 @@ def check_eps_argmin_lipschitz(
     rho = interior.slater.rho
     augmented = augment_with_slack_row(cpU, rho)
     dist_infeas = distance_to_infeasibility(augmented.rows, require_slater=False)
-    d_nat = constraintwise_distance(rpU, rpV).value
+    d_nat = constraintwise_distance(rpU, rpV)
     if eta is None:
         eta = 0.5 * (d_nat + dist_infeas)
     if not d_nat < eta:

@@ -272,7 +272,7 @@ class ValueLipschitzChecker:
         self.constants = _stability_constants(self.augmented, self.nu_u, eps)
 
     def check(self, rpV: RobustProblem) -> CertificateReport:
-        d_nat = constraintwise_distance(self.rpU, rpV).value
+        d_nat = constraintwise_distance(self.rpU, rpV)
         if not d_nat < self.constants.epsilon:
             raise HypothesisViolatedError(
                 f"d_nat = {d_nat} not below eps = {self.constants.epsilon}"

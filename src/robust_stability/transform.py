@@ -24,7 +24,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, IndexMismatchError
-from .geometry import Polytope, facets, hausdorff, project_onto_polytope
+from .geometry import Polytope, _hausdorff_max, facets, project_onto_polytope
 from .model import RobustProblem, constraintwise_distance
 from .report import CertificateReport
 
@@ -72,11 +72,11 @@ def _has_room(inside, full):
 
 
 def _classify(t, U, V, home=None, full=(False,) * 4, hreps=(None, None)):
-    """Cached membership data (in_u, in_v, proj_u, proj_v), or None if t
-    falls inside the membership ambiguity band or only in full regions.  t
-    lies in `home` (0: U, 1: V); `hreps` holds U's and V's facets or None.
-    Projects as the module docstring says; an unread projection stays t."""
-    inside, proj = [None, None], [t, t]
+    """(in_u, in_v, proj_u, proj_v, dist_u, dist_v), or None if t falls in
+    the membership ambiguity band or only in full regions.  t lies in `home`
+    (0: U, 1: V); `hreps` holds U's and V's facets or None.  Projects as the
+    module docstring says; an unread projection stays t, its distance None."""
+    inside, proj, dist = [None, None], [t, t], [None, None]
     if home is not None:
         inside[home] = True
     for i, h in enumerate(hreps):  # geometry.Facets; skip within the band
@@ -86,16 +86,16 @@ def _classify(t, U, V, home=None, full=(False,) * 4, hreps=(None, None)):
                 inside[i] = s < 0.0
     for i, P in enumerate((U, V)):
         if inside[i] is None and _has_room(inside, full):
-            proj[i], d = project_onto_polytope(t, P)
-            if _MEMBERSHIP_TOL < d <= _MEMBERSHIP_TOL + _AMBIGUITY_BAND:
+            proj[i], dist[i] = project_onto_polytope(t, P)
+            if _MEMBERSHIP_TOL < dist[i] <= _MEMBERSHIP_TOL + _AMBIGUITY_BAND:
                 return None
-            inside[i] = d <= _MEMBERSHIP_TOL
+            inside[i] = dist[i] <= _MEMBERSHIP_TOL
     if not _has_room(inside, full):
         return None
     for i, P in enumerate((U, V)):  # the projection sigma reads, once
         if inside[1 - i] and not inside[i] and proj[i] is t:
-            proj[i] = project_onto_polytope(t, P)[0]
-    return inside[0], inside[1], proj[0], proj[1]
+            proj[i], dist[i] = project_onto_polytope(t, P)
+    return (*inside, *proj, *dist)
 
 
 def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
@@ -104,16 +104,19 @@ def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
     Region targets are best-effort: rejection sampling with a stall cutoff,
     so empty regions (e.g. disjoint sets have no U-and-V points) are skipped
     rather than spun on.  Every draw, stall and accepted point is the same
-    as with both projections.  Returns (t, in_u, in_v, proj_u, proj_v).
+    as with both projections.  Returns [(t, in_u, in_v, proj_u, proj_v)]
+    and the vertices' projected distances as _hausdorff_max reads them.
     """
     rng = np.random.default_rng(plan.seed)
     hreps = (facets(U), facets(V))
-    out = []
+    out, known = [], {(0, 0): {}, (0, 1): {}}
     for home, P in enumerate((U, V)):
-        for v in P.vertices:
+        for i, v in enumerate(P.vertices):
             cls = _classify(v, U, V, home, hreps=hreps)
             if cls is not None:
-                out.append((v, *cls))
+                out.append((v, *cls[:4]))
+                if cls[5 - home] is not None:  # the distance to the other set
+                    known[0, home][i] = cls[5 - home]
     all_v = np.vstack([U.vertices, V.vertices])
     lo = all_v.min(axis=0) - _BOX_MARGIN
     hi = all_v.max(axis=0) + _BOX_MARGIN
@@ -134,8 +137,8 @@ def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
             continue
         got[_region(cls[0], cls[1])] += 1
         stall = 0
-        out.append((t, *cls))
-    return out
+        out.append((t, *cls[:4]))
+    return out, known
 
 
 def _sigma_cached(ts, in_self, in_other, proj_self, rho):
@@ -150,7 +153,8 @@ def _sigma_cached(ts, in_self, in_other, proj_self, rho):
 
 
 def _sampled_sup(U, V, rho, plan, b=None):
-    """(sup of ||sigma_{U;V}(t) - sigma_{V;U}(t)|| over the plan, sample count).
+    """(sup of ||sigma_{U;V}(t) - sigma_{V;U}(t)|| over the plan, sample
+    count, vertex distances of _sample_index_points).
 
     With b given, index points t in R^n stand for the rows (t, b); otherwise
     they are already stacked (a, b) rows.
@@ -158,7 +162,8 @@ def _sampled_sup(U, V, rho, plan, b=None):
     if not rho > 0:
         raise ValueError("rho must be positive")
     gaps = []
-    for ts, in_u, in_v, proj_u, proj_v in _sample_index_points(U, V, plan):
+    points, known = _sample_index_points(U, V, plan)
+    for ts, in_u, in_v, proj_u, proj_v in points:
         if b is not None:
             ts, proj_u, proj_v = (
                 np.append(x, float(b)) for x in (ts, proj_u, proj_v)
@@ -166,7 +171,7 @@ def _sampled_sup(U, V, rho, plan, b=None):
         left = _sigma_cached(ts, in_u, in_v, proj_u, rho)
         right = _sigma_cached(ts, in_v, in_u, proj_v, rho)
         gaps.append(float(np.linalg.norm(left - right)))
-    return max(gaps), len(gaps)
+    return max(gaps), len(gaps), known
 
 
 def _two_sided(bound, measured, context):
@@ -182,11 +187,14 @@ def verify_transform_distance(
     rho: float,
     plan: SamplePlan = SamplePlan(),
 ) -> CertificateReport:
-    """Check sup_t ||sigma_{U;V}(t) - sigma_{V;U}(t)|| = d_H(U, V) two-sided."""
+    """Check sup_t ||sigma_{U;V}(t) - sigma_{V;U}(t)|| = d_H(U, V) two-sided.
+
+    d_H reuses the sampler's vertex projections: projecting again would
+    give the same bits, so it would add nothing to the check."""
     if U.dim != V.dim:
         raise DimensionMismatchError("U and V have different dimensions")
-    measured, samples = _sampled_sup(U, V, rho, plan, b=b)
-    return _two_sided(hausdorff(U, V), measured, {
+    measured, samples, known = _sampled_sup(U, V, rho, plan, b=b)
+    return _two_sided(_hausdorff_max([(U, V)], known), measured, {
         "check": "transform-distance",
         "seed": plan.seed,
         "samples": samples,
@@ -214,7 +222,7 @@ def verify_transform_distance_multi(
         V = rpV.constraint_sets[alpha]
         per_alpha[alpha] = _sampled_sup(U, V, rho, plan)[0]
     measured = max(per_alpha.values())
-    return _two_sided(constraintwise_distance(rpU, rpV).value, measured, {
+    return _two_sided(constraintwise_distance(rpU, rpV), measured, {
         "check": "transform-distance-multi",
         "seed": plan.seed,
         "rho": float(rho),

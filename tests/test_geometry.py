@@ -161,15 +161,18 @@ class TestHausdorffEarlyBreakMatchesFullScan:
             self.assert_same(U, V)
             self.assert_same(U, U)
 
-    def test_one_vertex_sets_skip_bounds(self, rng, min_norm_point_calls):
-        """A one-vertex V needs no Wolfe call; a one-vertex U projects its
-        vertex once, even below the running maximum."""
+    def test_one_vertex_sets_wolfe_calls(self, rng, min_norm_point_calls):
+        """A one-vertex V needs no Wolfe call: its bound is the distance.  A
+        one-vertex U is projected only while its bound reaches the running
+        maximum, which U's exact distances to `point` exceed."""
         U = geo.Polytope(rng.normal(size=(5, 3)))
         point = geo.Polytope(rng.normal(size=(1, 3)))
         self.assert_same(U, point)
-        assert min_norm_point_calls[0] == 3  # one per scan of `point` over U
+        assert min_norm_point_calls[0] == 2  # full_scan and directed, point over U
         min_norm_point_calls[0] = 0
         geo.hausdorff(U, point)
+        assert min_norm_point_calls[0] == 0
+        geo.hausdorff(point, U)  # point's scan comes first, from 0
         assert min_norm_point_calls[0] == 1
 
     def test_one_vertex_projection_is_wolfe_start(self, rng):
@@ -358,10 +361,10 @@ def loop_inradius_best(V):
 
 def loop_hrep_vertices(rows, dim, tol=1e-8):
     """Vertices of {x : A x >= b}: one solve per dim-subset of rows, skipping
-    subsets of numerical rank < dim."""
+    subsets of numerical rank < dim; row i is checked at its own scale."""
     A = np.array([np.asarray(a, dtype=float) for a, _ in rows])
     b = np.array([float(bb) for _, bb in rows])
-    scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(A))))
+    scale = np.array([max(1.0, abs(bi), float(np.max(np.abs(ai)))) for ai, bi in zip(A, b)])
     verts = []
     for S in itertools.combinations(range(A.shape[0]), dim):
         try:
@@ -551,6 +554,15 @@ class TestHalfspacesAndVertices:
         verts = geo.enumerate_hrep_vertices(self.UNIT_SQUARE, 2)
         got = sorted(tuple(np.round(v, 9)) for v in verts)
         assert got == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+
+    def test_vertex_enumeration_per_row_tolerance(self):
+        """x >= -6e-8 comes first and meets y >= 0 at a point infeasible for
+        x >= 0 by 6e-8.  With one tolerance scaled by the row of 100s that
+        point passed and displaced the vertex (0, 0) in the 1e-7 merge."""
+        rows = [([1.0, 0.0], -6e-8)] + self.UNIT_SQUARE + [([100.0, 100.0], -100.0)]
+        verts = geo.enumerate_hrep_vertices(rows, 2)
+        assert sorted(tuple(v) for v in verts) == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+        assert [v.tobytes() for v in verts] == [v.tobytes() for v in loop_hrep_vertices(rows, 2)]
 
     def test_vertex_enumeration_matches_projection(self, rng):
         """Distances to an H-polytope agree whether computed via Dykstra or

@@ -4,7 +4,7 @@ import pytest
 from robust_stability import lp
 from robust_stability import model as md
 from robust_stability.errors import IndexMismatchError
-from robust_stability.geometry import Polytope
+from robust_stability.geometry import Polytope, hausdorff
 
 from conftest import random_feasible_instance, shifted_instance
 
@@ -212,8 +212,7 @@ class TestConstraintwiseDistance:
 
     def test_identity(self):
         rp = md.RobustProblem(constraint_sets={"a": self.square()}, cost=[1.0, 0.0])
-        d = md.constraintwise_distance(rp, rp)
-        assert d.value == 0.0 and d.per_constraint == {"a": 0.0}
+        assert md.constraintwise_distance(rp, rp) == 0.0
 
     def test_single_shift(self):
         U = self.square()
@@ -224,7 +223,7 @@ class TestConstraintwiseDistance:
             constraint_sets={"a": U.translated([0.5, 0, 0]), "b": U},
             cost=[1.0, 0.0],
         )
-        assert md.constraintwise_distance(rpU, rpV).value == pytest.approx(0.5, abs=1e-10)
+        assert md.constraintwise_distance(rpU, rpV) == pytest.approx(0.5, abs=1e-10)
 
     def test_max_of_shifts(self):
         U = self.square()
@@ -236,17 +235,100 @@ class TestConstraintwiseDistance:
             },
             cost=[1.0, 0.0],
         )
-        assert md.constraintwise_distance(rpU, rpV).value == pytest.approx(0.5, abs=1e-10)
+        assert md.constraintwise_distance(rpU, rpV) == pytest.approx(0.5, abs=1e-10)
 
 
     def test_wolfe_calls(self, rng, min_norm_point_calls):
-        """The box rows are one-vertex sets and need no Wolfe solve; the early
-        break skips vertices that cannot raise a Hausdorff distance.  With
-        neither, this distance takes 20 solves."""
+        """Every set is translated by 0.05.  A box row is a one-vertex set
+        whose bound is its distance, and no other set's bound lies above the
+        largest of those, so the scan over all sets needs no Wolfe solve.
+        One scan per set took 8 solves, and full scans without bounds 20."""
         rp = random_feasible_instance(rng, n=2)
         rpV = shifted_instance(rp, rng, 0.05)
-        assert md.constraintwise_distance(rp, rpV).value == pytest.approx(0.05, abs=1e-12)
-        assert min_norm_point_calls[0] == 8
+        assert md.constraintwise_distance(rp, rpV) == pytest.approx(0.05, abs=1e-12)
+        assert min_norm_point_calls[0] == 0
+
+
+class TestConstraintwiseDistanceMatchesFullScan:
+    """d_nat skips every set whose nearest-vertex bound is strictly below the
+    running maximum; it must be the largest per-set distance, float for
+    float."""
+
+    @staticmethod
+    def problems(U_sets, V_sets):
+        n = U_sets[0].shape[1] - 1
+        def rp(sets):
+            return md.RobustProblem(
+                constraint_sets={f"s{i}": Polytope(V) for i, V in enumerate(sets)},
+                cost=np.ones(n),
+            )
+        return rp(U_sets), rp(V_sets)
+
+    def assert_same(self, U_sets, V_sets):
+        rpU, rpV = self.problems(U_sets, V_sets)
+        want = max(
+            hausdorff(rpU.constraint_sets[a], rpV.constraint_sets[a])
+            for a in rpU.constraint_sets
+        )
+        assert md.constraintwise_distance(rpU, rpV) == want
+        return want
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_instances(self, rng, n):
+        def random_set():
+            return rng.normal(size=(int(rng.integers(1, 5)), n + 1))
+        for _ in range(40):
+            U = [random_set() for _ in range(int(rng.integers(1, 7)))]
+            self.assert_same(U, [random_set() for _ in U])
+            self.assert_same(U, [V + 0.1 * rng.normal(size=n + 1) for V in U])
+            self.assert_same(U, [V * rng.uniform(0.5, 1.5) for V in U])
+            self.assert_same(U, [V + 0.05 * rng.normal(size=V.shape) for V in U])
+
+    def test_translates_tie(self, min_norm_point_calls):
+        """Every set is the same exact translate, so every bound ties with
+        the running maximum; ties are projected, as in one set's scan."""
+        square = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        U = [square, square[:3] + 2.0, square[:2] - 1.0]
+        w = np.array([0.5, 0.0, 0.0])
+        assert self.assert_same(U, [V + w for V in U]) == 0.5
+        min_norm_point_calls[0] = 0
+        rpU, rpV = self.problems(U, [V + w for V in U])
+        md.constraintwise_distance(rpU, rpV)
+        assert min_norm_point_calls[0] == 18  # one per vertex of U and of V
+
+    def test_one_vertex_sets(self, rng):
+        for _ in range(20):
+            point = rng.normal(size=(1, 3))
+            many = rng.normal(size=(int(rng.integers(2, 5)), 3))
+            self.assert_same([point, many], [many, point])
+            self.assert_same([point, point], [point + 0.1, many])
+
+    def test_identical_problems(self, rng):
+        U = [rng.normal(size=(k, 3)) for k in (1, 2, 3, 4)]
+        assert self.assert_same(U, U) == 0.0
+
+    def test_bound_just_below_another_distance(self, min_norm_point_calls):
+        """A segment translated by 1 - 1e-9 is never projected once a
+        one-vertex pair at distance 1 has been seen."""
+        segment = np.array([[0.0, 0.0], [0.0, 1.0]])
+        U = [np.array([[0.0, 0.0]]), segment]
+        V = [np.array([[1.0, 0.0]]), segment + [1.0 - 1e-9, 0.0]]
+        assert self.assert_same(U, V) == 1.0
+        min_norm_point_calls[0] = 0
+        md.constraintwise_distance(*self.problems(U, V))
+        assert min_norm_point_calls[0] == 0
+
+    def test_bound_above_a_smaller_distance(self):
+        """The crossed segments have bound sqrt(2) but distance 1, and are
+        visited first; the point pair at 1.05 must still be visited."""
+        U = [np.array([[-1.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 0.0]])]
+        V = [np.array([[0.0, -1.0], [0.0, 1.0]]), np.array([[1.05, 0.0]])]
+        assert self.assert_same(U, V) == 1.05
+
+    def test_larger_distance_listed_last(self):
+        U = [np.array([[0.0, 0.0]])] * 3
+        V = [np.array([[0.5, 0.0]]), np.array([[0.2, 0.0]]), np.array([[0.9, 0.0]])]
+        assert self.assert_same(U, V) == 0.9
 
 
 class TestPiEquivalent:
