@@ -178,17 +178,37 @@ def project_onto_polytope(p, P: Polytope):
     return q, float(np.linalg.norm(x))
 
 
-def _nearest_bounds(U: Polytope, V: Polytope):
-    """(U's, V's) vertex distances to the nearest vertex of the other set:
-    Wolfe's start, so each bounds that vertex's projection distance."""
-    if U.dim != V.dim:
+def _padded(sets):
+    """The sets' vertices as one (len(sets), k, dim) block, k the largest
+    count; a set with fewer vertices repeats its first, which changes no
+    nearest distance and no argmin (the first index is kept)."""
+    k, index, start = max(len(P.vertices) for P in sets), [], 0
+    for P in sets:
+        c = len(P.vertices)
+        index += range(start, start + c)
+        index += [start] * (k - c)
+        start += c
+    return np.concatenate([P.vertices for P in sets])[np.array(index).reshape(-1, k)]
+
+
+def _nearest_bounds(UB, VB):
+    """Per pair k of padded blocks UB[k], VB[k], each vertex's distance to
+    the nearest vertex of the other set: Wolfe's start, so it bounds that
+    vertex's projection distance.  Returns (pairs, ku), (pairs, kv) arrays."""
+    if UB.shape[2] != VB.shape[2]:
         raise DimensionMismatchError("polytopes have different dimensions")
-    D = V.vertices[None, :, :] - U.vertices[:, None, :]
-    D2 = (D * D).sum(axis=2)
-    to_v = [D[i, j] for i, j in enumerate(D2.argmin(axis=1).tolist())]
-    to_u = [D[i, j] for j, i in enumerate(D2.argmin(axis=0).tolist())]
-    # np.linalg.norm's own arithmetic, as project_onto_polytope reports it
-    return [math.sqrt(x.dot(x)) for x in to_v], [math.sqrt(x.dot(x)) for x in to_u]
+    D = VB[:, None, :, :] - UB[:, :, None, :]
+    D2 = (D * D).sum(axis=3)
+    # the argmins use Wolfe's own squared norms, so they pick its start; the
+    # distances are math.sqrt(x.dot(x)) bit for bit (np.linalg.norm's
+    # arithmetic, as project_onto_polytope reports it), which einsum and
+    # (x * x).sum(-1) are not
+    norms = np.sqrt((D[..., None, :] @ D[..., :, None])[..., 0, 0])
+    k = np.arange(len(D))[:, None]
+    return (
+        norms[k, np.arange(D.shape[1]), D2.argmin(axis=2)],
+        norms[k, D2.argmin(axis=1), np.arange(D.shape[2])],
+    )
 
 
 def _scan_hausdorff(U: Polytope, V: Polytope, bounds, best: float, known) -> float:
@@ -209,17 +229,20 @@ def _hausdorff_max(pairs, known=None) -> float:
     """max of d_H(U, V) over pairs (U, V): pairs are visited in descending
     order of their largest vertex bound, until one is strictly below the
     running maximum, and scanned from that maximum.  known[k, side] maps
-    vertex indices of pairs[k][side] to distances already projected."""
+    vertex indices of pairs[k][side] to distances already projected.  The
+    bounds of all pairs come from one padded block per side."""
     known = known or {}
-    scans = [(U, V, *_nearest_bounds(U, V)) for U, V in pairs]
-    bound = [max(bu + bv) for _, _, bu, bv in scans]
+    bu, bv = _nearest_bounds(*(_padded(side) for side in zip(*pairs)))
+    # a pad repeats its set's first bound, so the padded row has the same max
+    largest = np.maximum(bu.max(axis=1), bv.max(axis=1)).tolist()
+    bu, bv = bu.tolist(), bv.tolist()
     best = 0.0
-    for k in sorted(range(len(scans)), key=lambda k: -bound[k]):
-        if bound[k] < best:
+    for k in sorted(range(len(pairs)), key=lambda k: -largest[k]):
+        if largest[k] < best:
             break
-        U, V, bu, bv = scans[k]
-        best = _scan_hausdorff(U, V, bu, best, known.get((k, 0), {}))
-        best = _scan_hausdorff(V, U, bv, best, known.get((k, 1), {}))
+        U, V = pairs[k]
+        best = _scan_hausdorff(U, V, bu[k][: len(U.vertices)], best, known.get((k, 0), {}))
+        best = _scan_hausdorff(V, U, bv[k][: len(V.vertices)], best, known.get((k, 1), {}))
     return best
 
 
@@ -231,7 +254,8 @@ def directed_hausdorff(U: Polytope, V: Polytope) -> float:
     distance bounds u's.  Vertices are projected in descending order of the
     bound until the next bound is strictly below the running maximum; ties
     are still projected."""
-    return _scan_hausdorff(U, V, _nearest_bounds(U, V)[0], 0.0, {})
+    bounds = _nearest_bounds(U.vertices[None], V.vertices[None])[0]
+    return _scan_hausdorff(U, V, bounds[0].tolist(), 0.0, {})
 
 
 def hausdorff(U, V) -> float:
@@ -242,7 +266,7 @@ def hausdorff(U, V) -> float:
     cannot raise the maximum (_hausdorff_max).
     """
     pairs = [(U, V)] if isinstance(U, Polytope) else list(zip(U, V, strict=True))
-    return _hausdorff_max(pairs)
+    return _hausdorff_max(pairs) if pairs else 0.0
 
 
 def dist_origin_to_hset(H: HSet) -> float:
@@ -353,6 +377,9 @@ def _polar_inradius(P: Polytope) -> Inradius:
         if margin <= 1e-9:
             raise UnboundedPolarError("origin within tolerance of the boundary")
         return Inradius(value=margin / math.sqrt(d), estimated=True)
+    # a zero row (the slack row's, in the augmented Z-) makes every d-subset
+    # holding it singular and bounds nothing: 0 <= 1
+    V = V[V.any(axis=1)]
     best = max((float(np.linalg.norm(y)) for y in _polar_vertices(V)), default=0.0)
     if best <= default_tolerances().feasibility:
         raise UnboundedPolarError("polar polytope has no vertices (degenerate)")

@@ -111,6 +111,8 @@ def problem_from_dict(data: dict) -> RobustProblem:
         if not isinstance(c, dict) or "name" not in c:
             raise SchemaError(f'constraint #{i} must be an object with "name"')
         name = c["name"]
+        if not isinstance(name, str):
+            raise SchemaError(f'constraint #{i}: "name" must be a string')
         if "vertices" not in c or not isinstance(c["vertices"], list) or not c["vertices"]:
             raise SchemaError(
                 f'constraint {name!r}: field "vertices" must be a non-empty list'

@@ -6,9 +6,12 @@ slack basis: rows with b_t <= 0 are feasible at x = 0, so only rows with
 b_t > 0 get an artificial variable, and phase 1 runs only when such a row
 exists.  Optimal results carry dual weights and infeasible results Farkas
 weights; both are the reduced costs of the slack columns in the final
-tableau.  Every result is checked on the original data before it is
-returned.  The solver is deterministic: identical inputs give identical
-outputs, bit for bit.
+tableau.  A caller may pass a candidate active set, such as the optimal
+basis of a nearby LP: when its vertex and duals pass the simplex's own
+stopping rule and the checks below, that optimum is returned without a
+pivot, and otherwise the simplex runs as if none were given.  Every result
+is checked on the original data before it is returned.  The solver is
+deterministic: identical inputs give identical outputs, bit for bit.
 """
 
 import numpy as np
@@ -79,6 +82,8 @@ class SolveResult:
     value: float
     solution: Optional[np.ndarray]
     dual_weights: Optional[np.ndarray]  # Farkas weights when infeasible
+    # the n rows whose slacks are nonbasic at an optimum, or None
+    active: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -130,9 +135,48 @@ def _checked(ok, what):
         raise NumericalBreakdownError(f"simplex result fails its {what} check")
 
 
-def solve(lp: LinearProgram) -> SolveResult:
+def _failed_check(A, b, c, x, w, value):
+    """The first of the primal, dual and duality-gap checks that x, of cost
+    value, and its duals w >= 0 fail on the data (A, b, c), or "" when all
+    three pass."""
+    absA, absx = np.abs(A), np.abs(x)
+    if not (b - A @ x <= _CHECK_TOL * (1.0 + np.abs(b) + absA @ absx)).all():
+        return "primal"
+    if not (np.abs(A.T @ w - c) <= _CHECK_TOL * (1.0 + np.abs(c) + absA.T @ w)).all():
+        return "dual"
+    if not abs(value - b @ w) <= _CHECK_TOL * (1.0 + np.abs(c) @ absx + np.abs(b) @ w):
+        return "duality-gap"
+    return ""
+
+
+def _certified_start(lp: LinearProgram, start):
+    """The optimum with active rows S = start, from A_S x = b_S and
+    A_S' y = c, if the simplex would stop there (every slack A x - b and
+    every y at least -_PIVOT_TOL) and it passes the checks; else None."""
+    A, b, c = lp.a_matrix, lp.rhs, lp.cost
+    S = [int(i) for i in start]
+    if len(S) != lp.n or len(set(S)) != lp.n or not all(0 <= i < lp.m for i in S):
+        return None
+    try:
+        x = np.linalg.solve(A[S], b[S])
+        y = np.linalg.solve(A[S].T, c)
+    except np.linalg.LinAlgError:
+        return None
+    if not ((A @ x - b >= -_PIVOT_TOL).all() and (y >= -_PIVOT_TOL).all()):
+        return None
+    w = np.zeros(lp.m)
+    w[S] = np.maximum(y, 0.0)
+    value = float(c @ x)
+    if _failed_check(A, b, c, x, w, value):
+        return None
+    return SolveResult(OPTIMAL, value, x, w, np.array(S))
+
+
+def solve(lp: LinearProgram, start=None) -> SolveResult:
     """Solve the LP, classifying optimal / infeasible / unbounded.
 
+    `start`, n row indices such as another result's `active`, is tried
+    first (_certified_start); the simplex runs when it is None or fails.
     Every result is checked on the original data before it is returned, and
     NumericalBreakdownError is raised when a check fails: an optimal x and
     its duals w >= 0 satisfy primal and dual feasibility and close the
@@ -146,6 +190,8 @@ def solve(lp: LinearProgram) -> SolveResult:
         if not c.any():
             return SolveResult(OPTIMAL, 0.0, np.zeros(n), np.zeros(0))
         return SolveResult(UNBOUNDED, -np.inf, None, None)
+    if start is not None and (res := _certified_start(lp, start)) is not None:
+        return res
 
     # standard form x = u - v, slack s >= 0: [A, -A, -I] z = b.  Rows with
     # b <= 0 are negated so that their slack column is +e_i and starts basic;
@@ -202,14 +248,13 @@ def solve(lp: LinearProgram) -> SolveResult:
     # duals: the slack reduced costs of the phase-2 optimum
     w = np.maximum(T[-1, slack], 0.0)
     value = float(c @ x)
-    absA, absx = np.abs(A), np.abs(x)
-    primal_noise = _CHECK_TOL * (1.0 + np.abs(b) + absA @ absx)
-    _checked((b - A @ x <= primal_noise).all(), "primal")
-    dual_noise = _CHECK_TOL * (1.0 + np.abs(c) + absA.T @ w)
-    _checked((np.abs(A.T @ w - c) <= dual_noise).all(), "dual")
-    gap_noise = _CHECK_TOL * (1.0 + np.abs(c) @ absx + np.abs(b) @ w)
-    _checked(abs(value - b @ w) <= gap_noise, "duality-gap")
-    return SolveResult(OPTIMAL, value, x, w)
+    failed = _failed_check(A, b, c, x, w, value)
+    _checked(not failed, failed)
+    # the basis has at most n structural columns, one per u_j / v_j pair
+    nonbasic = np.ones(N, dtype=bool)
+    nonbasic[basis] = False
+    active = nonbasic[slack].nonzero()[0]
+    return SolveResult(OPTIMAL, value, x, w, active if active.size == n else None)
 
 
 def slater_constant(rows):

@@ -110,8 +110,6 @@ def robust_counterpart(rp: RobustProblem) -> LsioProblem:
         raise ValueError("robust_counterpart needs the fixed-cost form")
     rows = []
     for alpha, U in rp.constraint_sets.items():
-        if U.vertices.shape[0] == 0:
-            raise EmptyUncertaintySetError(f"constraint {alpha!r} has no vertices")
         for i, v in enumerate(U.vertices):
             rows.append(IndexedRow(label=f"{alpha}#{i}", a=v[:-1], b=v[-1]))
     return LsioProblem(cost=rp.cost, rows=tuple(rows))

@@ -253,8 +253,11 @@ def augment_with_slack_row(pi: LsioProblem, rho: float) -> LsioProblem:
 class ValueLipschitzChecker:
     """Precomputes everything that depends only on the reference problem rpU.
 
-    check(rpV) then needs just one LP solve and one constraint-wise Hausdorff
-    computation, which keeps large randomized suites fast.
+    check(rpV) then needs one constraint-wise Hausdorff scan and one LP
+    solve.  V's LP is its robust counterpart as one stack of V's vertex
+    arrays, in U's label order, solved from U's optimal basis (lp.solve's
+    start, which falls back to the simplex when that basis is not optimal
+    for V).
     """
 
     def __init__(self, rpU: RobustProblem, eps: float = None):
@@ -270,6 +273,7 @@ class ValueLipschitzChecker:
         # recession cone, so the augmented problem is interior-solvable too.
         self.augmented = augment_with_slack_row(self.counterpart, self.rho)
         self.constants = _stability_constants(self.augmented, self.nu_u, eps)
+        self._active = interior.solve_result.active
 
     def check(self, rpV: RobustProblem) -> CertificateReport:
         d_nat = constraintwise_distance(self.rpU, rpV)
@@ -277,7 +281,13 @@ class ValueLipschitzChecker:
             raise HypothesisViolatedError(
                 f"d_nat = {d_nat} not below eps = {self.constants.epsilon}"
             )
-        res_v = lpmod.solve(robust_counterpart(rpV).to_lp())
+        if rpV.cost is None:
+            raise ValueError("the perturbed problem needs the fixed-cost form")
+        U = self.rpU.constraint_sets
+        rows = np.concatenate([rpV.constraint_sets[alpha].vertices for alpha in U])
+        res_v = lpmod.solve(
+            lpmod.LinearProgram(rpV.cost, rows[:, :-1], rows[:, -1]), start=self._active
+        )
         if res_v.status != lpmod.OPTIMAL:
             raise HypothesisViolatedError(
                 f"perturbed problem not solvable (status {res_v.status}) — "

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 import warnings
 
@@ -83,6 +84,8 @@ class TestHausdorff:
     def test_identity(self, rng):
         P = geo.Polytope(rng.normal(size=(5, 2)))
         assert geo.hausdorff(P, P) == 0.0
+        assert geo.hausdorff([P, P], [P, P]) == 0.0
+        assert geo.hausdorff([], []) == 0.0  # the max over no pairs
 
     def test_singletons(self):
         assert geo.directed_hausdorff(
@@ -183,6 +186,49 @@ class TestHausdorffEarlyBreakMatchesFullScan:
             x, _ = geo.min_norm_point(P.vertices - p)
             assert q.tobytes() == (x + p).tobytes()
             assert d == float(np.linalg.norm(x))
+
+
+def loop_nearest_bounds(U, V):
+    """Per-pair reference: each vertex's distance to the nearest vertex of
+    the other set, as math.sqrt(x.dot(x)) of the difference."""
+    D = V.vertices[None, :, :] - U.vertices[:, None, :]
+    D2 = (D * D).sum(axis=2)
+    to_v = [D[i, j] for i, j in enumerate(D2.argmin(axis=1).tolist())]
+    to_u = [D[i, j] for j, i in enumerate(D2.argmin(axis=0).tolist())]
+    return [math.sqrt(x.dot(x)) for x in to_v], [math.sqrt(x.dot(x)) for x in to_u]
+
+
+class TestBatchedNearestBounds:
+    """The padded-block bounds equal the per-pair formula float for float."""
+
+    def assert_same(self, Us, Vs):
+        bu, bv = geo._nearest_bounds(geo._padded(Us), geo._padded(Vs))
+        for k, (U, V) in enumerate(zip(Us, Vs)):
+            ref_u, ref_v = loop_nearest_bounds(U, V)
+            assert bu[k, : len(U.vertices)].tolist() == ref_u
+            assert bv[k, : len(V.vertices)].tolist() == ref_v
+            # a pad repeats its set's first bound
+            assert set(bu[k, len(U.vertices) :].tolist()) <= {ref_u[0]}
+            assert set(bv[k, len(V.vertices) :].tolist()) <= {ref_v[0]}
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_unequal_counts(self, rng, dim):
+        for _ in range(40):
+            Us = [geo.Polytope(rng.normal(size=(int(rng.integers(1, 7)), dim))) for _ in range(5)]
+            # V's counts differ from U's, and one-vertex sets occur on both sides
+            Vs = [geo.Polytope(rng.normal(size=(int(rng.integers(1, 7)), dim))) for _ in Us]
+            self.assert_same(Us, Vs)
+            self.assert_same(Us, [U.translated(1e-4 * rng.normal(size=dim)) for U in Us])
+
+    def test_ties(self):
+        square = geo.Polytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        Vs = [square.translated([0.5, 0.0]), geo.Polytope([[0.5, 0.5]]), square.scaled(2.0)]
+        self.assert_same([square] * 3, Vs)
+        self.assert_same(Vs, [square] * 3)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            geo.hausdorff(geo.Polytope([[0.0, 0.0]]), geo.Polytope([[0.0, 0.0, 0.0]]))
 
 
 def hset_grid_oracle(H, mu_steps=120, lam_step=0.02):

@@ -233,6 +233,18 @@ class TestCli:
         assert code == 1
         assert rep["error"] == "SchemaError"
 
+    @pytest.mark.parametrize("name", [["a"], {"a": 1}, 1, None])
+    def test_non_string_name_exits_1(self, tmp_path, capsys, name):
+        data = toy_problem_dict()
+        data["constraints"][0]["name"] = name
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        code = hn.cli(["solve", str(p)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1
+        rep = json.loads(lines[0])
+        assert rep["error"] == "SchemaError" and '"name"' in rep["message"]
+
     def test_boolean_n_exits_1(self, tmp_path, capsys):
         data = dict(toy_problem_dict(), n=True)
         p = tmp_path / "bad.json"

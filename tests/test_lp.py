@@ -190,6 +190,159 @@ class TestCertificates:
             lp.solve(prob)
 
 
+def _same(r1, r2):
+    """Bit-identical results, arrays compared by their bytes."""
+    assert (r1.status, r1.value) == (r2.status, r2.value)
+    for f in ("solution", "dual_weights", "active"):
+        a, b = getattr(r1, f), getattr(r2, f)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.tobytes() == b.tobytes()
+
+
+class TestStart:
+    """solve(start=): a candidate active set is certified or falls back."""
+
+    @pytest.fixture
+    def pivots(self, monkeypatch):
+        count = [0]
+        real_loop = lp._pivot_loop
+
+        def loop(*args, **kw):
+            count[0] += 1
+            return real_loop(*args, **kw)
+
+        monkeypatch.setattr(lp, "_pivot_loop", loop)
+        return count
+
+    def test_own_active_set(self, rng, pivots):
+        tried = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(n, 10))
+            A, b, c = rng.normal(size=(m, n)), rng.normal(size=m), rng.normal(size=n)
+            prob = lp.LinearProgram(c, A, b)
+            cold = lp.solve(prob)
+            if cold.status != lp.OPTIMAL or cold.active is None:
+                continue
+            assert cold.active.size == n
+            pivots[0] = 0
+            warm = lp.solve(prob, start=cold.active)
+            assert pivots[0] == 0
+            assert warm.status == lp.OPTIMAL
+            assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=1e-12)
+            assert warm.active.tolist() == cold.active.tolist()
+            tried += 1
+        assert tried > 50
+
+    @pytest.mark.parametrize(
+        "cost, rows, start",
+        [
+            # stale dual: y = -1e-8 for row 0, inside the checks' 1e-7 noise
+            ([-1e-8], [([1.0], 0.0), ([-1.0], -1.0)], [0]),
+            # stale primal: row 1's slack is -1e-8, inside the checks' noise
+            ([1.0], [([1.0], 0.0), ([1.0], 1e-8)], [0]),
+            # far from optimal
+            ([1.0, 1.0], [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0), ([-1.0, -1.0], -4.0)], [0, 2]),
+        ],
+    )
+    def test_stale_start_gives_cold_result(self, cost, rows, start, pivots):
+        prob = _lp(cost, rows)
+        cold = lp.solve(prob)
+        assert cold.active.tolist() != start
+        runs = pivots[0]
+        _same(lp.solve(prob, start=start), cold)
+        assert pivots[0] == 2 * runs  # the simplex ran again
+
+    @pytest.mark.parametrize(
+        "start",
+        [[0, 1], [2, 2], [0, 3], [-1, 2], [2], [0, 1, 2], np.array([0, 99])],
+        ids=["singular", "repeated", "out-of-range", "negative", "short", "long", "array"],
+    )
+    def test_bad_start_falls_back(self, start):
+        # rows 0 and 1 are parallel, so {0, 1} is singular
+        rows = [([1.0, 0.0], 0.0), ([2.0, 0.0], -1.0), ([0.0, 1.0], 0.0)]
+        prob = _lp([1.0, 1.0], rows)
+        _same(lp.solve(prob, start=start), lp.solve(prob))
+
+    def test_failed_check_falls_back(self, monkeypatch, pivots):
+        # the checks behind the sign tests fail only under gross rounding, so
+        # stand in a failing first check: the start must give way to the simplex
+        prob = _lp([1.0, 1.0], [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0), ([-1.0, -1.0], -4.0)])
+        cold = lp.solve(prob)
+        verdicts = iter(["dual"])
+        real_check = lp._failed_check
+        monkeypatch.setattr(
+            lp, "_failed_check", lambda *a: next(verdicts, None) or real_check(*a)
+        )
+        pivots[0] = 0
+        _same(lp.solve(prob, start=cold.active), cold)
+        assert pivots[0] > 0
+
+    def test_no_rows_falls_back(self):
+        for cost in ([0.0, 0.0], [1.0, 0.0]):
+            _same(lp.solve(_lp(cost, []), start=[0, 1]), lp.solve(_lp(cost, [])))
+
+    def test_infeasible_and_unbounded_keep_certificates(self):
+        infeasible = _lp([1.0], [([1.0], 1.0), ([-1.0], 0.0)])
+        res = lp.solve(infeasible, start=[0])
+        assert res.status == lp.INFEASIBLE
+        _same(res, lp.solve(infeasible))
+        assert res.dual_weights @ infeasible.rhs > 0
+        unbounded = _lp([-1.0, 0.0], [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0)])
+        res = lp.solve(unbounded, start=[0, 1])
+        assert res.status == lp.UNBOUNDED
+        _same(res, lp.solve(unbounded))
+
+    def test_degenerate_reference_with_ties(self, pivots):
+        # three rows tie at the optimum x = 0; c is parallel to row 2, so the
+        # duals may be positive on fewer than n rows, but every pair of the
+        # three is an optimal basis
+        rows = [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0), ([1.0, 1.0], 0.0), ([-1.0, -1.0], -3.0)]
+        prob = _lp([1.0, 1.0], rows)
+        cold = lp.solve(prob)
+        assert cold.status == lp.OPTIMAL and cold.active.size == 2
+        assert set(cold.active.tolist()) <= {0, 1, 2}
+        pivots[0] = 0
+        for start in ([0, 1], [0, 2], [1, 2], [2, 0]):
+            warm = lp.solve(prob, start=start)
+            assert warm.value == cold.value == 0.0
+            assert warm.active.tolist() == start
+            assert (warm.dual_weights > 0).sum() <= 2
+        assert pivots[0] == 0
+        # a perturbed copy, where only some of the tied bases stay optimal
+        moved = _lp([1.0, 1.0], [([1.0, 1e-3], 0.0), *rows[1:]])
+        _same_value = lp.solve(moved, start=cold.active)
+        assert _same_value.status == lp.OPTIMAL
+        assert _same_value.value == pytest.approx(lp.solve(moved).value, abs=1e-15)
+
+    def test_rational_agreement_of_warm_results(self, rng):
+        accepted = 0
+        for _ in range(150):
+            n = int(rng.integers(1, 4))
+            m = int(rng.integers(1, 5))
+            box = np.vstack([np.eye(n), -np.eye(n)]).astype(int)
+            A = np.vstack([rng.integers(-3, 4, size=(m, n)), box])
+            b = np.concatenate([rng.integers(-3, 2, size=m), np.full(2 * n, -4)])
+            c = rng.integers(-3, 4, size=n)
+            ref = lp.solve(lp.LinearProgram(c.astype(float), A.astype(float), b.astype(float)))
+            if ref.active is None:
+                continue
+            # an integer perturbation of the data, solved from ref's basis
+            A2 = A + rng.integers(-1, 2, size=A.shape) * (rng.random(A.shape) < 0.2)
+            b2 = b + rng.integers(-1, 2, size=b.shape) * (rng.random(b.shape) < 0.2)
+            prob = lp.LinearProgram(c.astype(float), A2.astype(float), b2.astype(float))
+            res = lp.solve(prob, start=ref.active)
+            accepted += res.active is not None and res.active.tolist() == ref.active.tolist()
+            status, value = rational_simplex.solve_status(
+                c.tolist(), list(zip(A2.tolist(), b2.tolist()))
+            )
+            assert res.status == status
+            if status == lp.OPTIMAL:
+                assert res.value == pytest.approx(float(value), abs=1e-9)
+        assert accepted > 20
+
+
 class TestSlater:
     def test_interval(self):
         cert = lp.slater_constant([([1.0], 0.0), ([-1.0], -2.0)])

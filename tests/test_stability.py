@@ -331,8 +331,11 @@ class TestSolveCounts:
     def test_checker_solves_each_lp_once(self, rng, lp_solve_calls, n):
         # Slater LP, the solve, 2n probes of Z- (the bounded-face check)
         rp = random_feasible_instance(rng, n=n)
-        st.ValueLipschitzChecker(rp)
+        checker = st.ValueLipschitzChecker(rp)
         assert lp_solve_calls[0] == 2 + 2 * n
+        # a check from U's basis is still one solve
+        checker.check(shifted_instance(rp, rng, 1e-6))
+        assert lp_solve_calls[0] == 3 + 2 * n
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_lipschitz_constant_solves_each_lp_once(self, rng, lp_solve_calls, n):
@@ -372,6 +375,61 @@ class TestValueLipschitz:
             rep = checker.check(shifted_instance(rp, rng, mag))
             assert rep.passed
             assert rep.context["d_nat"] == pytest.approx(mag, abs=1e-9)
+
+    @pytest.fixture
+    def pivot_runs(self, monkeypatch):
+        count = [0]
+        real_loop = lp._pivot_loop
+
+        def loop(*args, **kw):
+            count[0] += 1
+            return real_loop(*args, **kw)
+
+        monkeypatch.setattr(lp, "_pivot_loop", loop)
+        return count
+
+    def test_small_perturbations_need_no_pivots(self, rng, pivot_runs):
+        """U's optimal basis, re-certified on V, answers small perturbations;
+        nu_v agrees with V's cold solve at rounding level."""
+        for n in (1, 2, 3):
+            rp = random_feasible_instance(rng, n=n, n_uncertain=3)
+            checker = st.ValueLipschitzChecker(rp)
+            for _ in range(10):
+                rpV = shifted_instance(rp, rng, 1e-3 * checker.constants.epsilon)
+                pivot_runs[0] = 0
+                rep = checker.check(rpV)
+                assert pivot_runs[0] == 0
+                cold = lp.solve(robust_counterpart(rpV).to_lp())
+                assert rep.context["nu_v"] == pytest.approx(cold.value, rel=1e-13, abs=1e-13)
+
+    def test_stale_basis_falls_back_to_cold_solve(self, rng, pivot_runs):
+        """A reversed cost moves V's optimum to another vertex: U's basis
+        fails its certificate and V gets the cold simplex's value, bit for
+        bit."""
+        for n in (1, 2, 3):
+            rp = random_feasible_instance(rng, n=n)
+            checker = st.ValueLipschitzChecker(rp)
+            rpV = dataclasses.replace(
+                shifted_instance(rp, rng, 0.1 * checker.constants.epsilon), cost=-rp.cost
+            )
+            pivot_runs[0] = 0
+            rep = checker.check(rpV)
+            assert pivot_runs[0] > 0
+            assert rep.context["nu_v"] == lp.solve(robust_counterpart(rpV).to_lp()).value
+
+    def test_vertex_counts_may_differ(self, rng):
+        """V's sets need not have U's vertex counts: a duplicated vertex
+        changes neither d_nat nor, beyond rounding, nu_v (U's active rows
+        now index other rows of V's LP)."""
+        rp = random_feasible_instance(rng, n=2)
+        checker = st.ValueLipschitzChecker(rp)
+        rpV = shifted_instance(rp, rng, 0.1 * checker.constants.epsilon)
+        sets = {a: Polytope(np.vstack([V.vertices, V.vertices[-1:]]))
+                for a, V in rpV.constraint_sets.items()}
+        doubled = checker.check(RobustProblem(constraint_sets=sets, cost=rpV.cost))
+        single = checker.check(rpV)
+        assert doubled.context["d_nat"] == single.context["d_nat"]
+        assert doubled.context["nu_v"] == pytest.approx(single.context["nu_v"], abs=1e-13)
 
     def test_identity_perturbation(self, rng):
         rp = random_feasible_instance(rng, n=2)
