@@ -288,29 +288,16 @@ def contains_origin_interior(P: Polytope):
     """(inside, margin): is there r > 0 with ball(0, r) inside conv(P)?
 
     margin is the smallest, over directions d = +/- e_i, of the largest r with
-    r*d in conv(P).  The probe LPs run on the polar system of the inradius:
-    by LP duality, for an interior origin
+    r*d in conv(P).  The probe runs on the polar body of the inradius: by LP
+    duality, for an interior origin
 
         max{r : r*d in conv(P)} = 1 / max{<d, y> : <v, y> <= 1, v in P},
 
     and the right-hand maximum is unbounded for some d exactly when the
     origin is not interior (the vertices do not positively span R^dim).
+    Both come from _polar_probe's one pass over that body.
     """
-    tol = default_tolerances().feasibility
-    rows = [(-v, -1.0) for v in P.vertices]
-    margin = np.inf
-    for i in range(P.dim):
-        for s in (1.0, -1.0):
-            cost = np.zeros(P.dim)
-            cost[i] = -s  # max s * y_i
-            res = lpmod.solve(lpmod.LinearProgram.from_rows(cost, rows))
-            if res.status != lpmod.OPTIMAL:
-                return False, 0.0
-            r_star = -1.0 / res.value
-            if r_star <= tol:
-                return False, 0.0
-            margin = min(margin, r_star)
-    return True, float(margin)
+    return _polar_probe(P)[:2]
 
 
 def _subset_solutions(M, rhs, d):
@@ -330,13 +317,52 @@ def _subset_solutions(M, rhs, d):
         yield A[ok], X[..., 0], MX[..., 0]
 
 
-def _polar_vertices(W):
-    """Rows y solving d-subsets of W y = 1 with W y <= 1 + 1e-9: the vertices
-    of the polar {y : <w, y> <= 1, w a row of W}, duplicates kept."""
+def _polar_bases(W):
+    """(W_S, y) stacked over the d-subsets S of W's rows whose solution y of
+    W_S y = 1 has W y <= 1 + 1e-9: the vertices of the polar
+    {y : <w, y> <= 1, w a row of W}, duplicates kept, with their bases."""
     k, d = W.shape
-    blocks = _subset_solutions(W, np.ones(k), d)
-    Y = [y for _, Y, WY in blocks for y in Y[(WY <= 1.0 + 1e-9).all(axis=1)]]
-    return np.array(Y).reshape(-1, d)
+    S, Y = [np.zeros((0, d, d))], [np.zeros((0, d))]
+    for A, X, WX in _subset_solutions(W, np.ones(k), d):
+        feasible = (WX <= 1.0 + 1e-9).all(axis=1)
+        S.append(A[feasible])
+        Y.append(X[feasible])
+    return np.concatenate(S), np.concatenate(Y)
+
+
+def _polar_vertices(W):
+    """The vertices of the polar {y : <w, y> <= 1, w a row of W} as rows,
+    duplicates kept (_polar_bases)."""
+    return _polar_bases(W)[1]
+
+
+def _certified_directions(S, Y):
+    """Per probe direction s e_i, whether some polar vertex y, with basis
+    S_y, certifies max{s y_i : W y <= 1} at y, by the tests lp.solve puts to
+    an optimum: the multipliers lam = s (row i of S_y^-1) are all
+    >= -_PIVOT_TOL (the simplex's stopping test), and w = max(lam, 0)
+    reproduces s e_i as S_y' w and closes the gap sum(w) = s y_i within
+    _CHECK_TOL (lp._failed_check).  y is feasible by _polar_bases.
+    Directions come in _polar_probe's order: i = 0..d-1, s = +1 then -1."""
+    D = np.array([s * e for e in np.eye(Y.shape[1]) for s in (1.0, -1.0)])
+    tol = lpmod._CHECK_TOL
+    with np.errstate(over="ignore", invalid="ignore"):  # inverses of near-singular bases
+        lam = D @ np.linalg.inv(S)  # (vertex, direction, row of the basis)
+        w = np.maximum(lam, 0.0)
+        total = w.sum(axis=2)
+        dual = np.abs(w @ S - D) <= tol * (1.0 + np.abs(D) + w @ np.abs(S))
+        gap = np.abs(Y @ D.T - total) <= tol * (1.0 + np.abs(Y) @ np.abs(D).T + total)
+        ok = (lam >= -lpmod._PIVOT_TOL).all(axis=2) & dual.all(axis=2) & gap
+    return ok.any(axis=0)
+
+
+def _probe_lp(W, i, s):
+    """The largest r with r s e_i in conv(W): 1 / max{s y_i : W y <= 1}, or
+    0.0 when that maximum is unbounded."""
+    cost = np.zeros(W.shape[1])
+    cost[i] = -s  # max s * y_i
+    res = lpmod.solve(lpmod.LinearProgram(cost, -W, -np.ones(len(W))))
+    return -1.0 / res.value if res.status == lpmod.OPTIMAL else 0.0
 
 
 class Inradius(NamedTuple):
@@ -344,48 +370,68 @@ class Inradius(NamedTuple):
     estimated: bool
 
 
+def _polar_probe(P: Polytope):
+    """(inside, margin, inradius) of conv(P) at the origin, from one pass
+    over the polar body Q = {y : <v, y> <= 1, v a nonzero vertex of P}.
+
+    inside and margin are contains_origin_interior's: inside when, for each
+    direction s e_i, r = 1 / max{s y_i : y in Q} exceeds the feasibility
+    tolerance, and margin the smallest such r.  For dim <= 4 and <= 64
+    nonzero vertices every vertex of Q is enumerated (_polar_bases), and
+    a direction that one of them certifies (_certified_directions) has its
+    maximum at the vertices; any other direction is answered by its LP
+    (_probe_lp).  inradius, by the polar-circumradius identity, is
+    1 / max ||y|| over those vertices; above the limits it is the certified
+    lower bound margin / sqrt(dim), flagged estimated: conv(P) contains the
+    cross-polytope conv{+/- margin e_i}, whose inradius that is.  It is None
+    when the origin is not inside, when Q has no vertex, and when it would
+    be <= 1e-9.
+    """
+    tol = default_tolerances().feasibility
+    # a zero vertex (the slack row's, in the augmented Z-) bounds nothing: 0 <= 1
+    W = P.vertices[P.vertices.any(axis=1)]
+    k, d = W.shape
+    exact = d <= 4 and k <= 64
+    if exact:
+        S, Y = _polar_bases(W)
+        certified = _certified_directions(S, Y)
+    margin = np.inf
+    for j, (i, s) in enumerate(itertools.product(range(d), (1.0, -1.0))):
+        if exact and certified[j]:
+            r_star = 1.0 / float(np.max(s * Y[:, i]))
+        else:
+            r_star = _probe_lp(W, i, s)
+        if r_star <= tol:
+            return False, 0.0, None
+        margin = min(margin, r_star)
+    if not exact:
+        value, estimated = margin / math.sqrt(d), True
+    else:
+        best = max((float(np.linalg.norm(y)) for y in Y), default=0.0)
+        value, estimated = (1.0 / best if best > tol else 0.0), False
+    return True, margin, Inradius(value, estimated) if value > 1e-9 else None
+
+
 def inradius_at_origin(P: Polytope) -> Inradius:
     """Distance from the (interior) origin to the boundary of conv(P).
 
     Probes the origin first: OriginNotInteriorError if it is not inside,
-    UnboundedPolarError for a probe margin <= 1e-9; then _polar_inradius.
+    UnboundedPolarError for a probe margin <= 1e-9; then the inradius of
+    _polar_probe, and UnboundedPolarError where it gives none (no polar
+    vertex, or a value <= 1e-9).
     """
     inside, margin = contains_origin_interior(P)
     if not inside:
         raise OriginNotInteriorError("origin is not strictly inside conv(P)")
     if margin <= 1e-9:
         raise UnboundedPolarError("origin within tolerance of the boundary")
-    return _polar_inradius(P)
-
-
-def _polar_inradius(P: Polytope) -> Inradius:
-    """inradius_at_origin for an origin already known to be inside conv(P).
-
-    Polar-circumradius identity: r* = 1 / max{||y|| : <v_i, y> <= 1 for all
-    vertices}; the inner maximum is attained at a vertex of the polar
-    H-polytope, found by solving dim-subsets of active constraints in stacked
-    blocks.  An inradius <= 1e-9 or an empty vertex list raises
-    UnboundedPolarError.  For dim > 4 or > 64 vertices the value is the
-    certified lower bound margin / sqrt(dim) of a fresh probe, flagged
-    estimated: conv(P) contains the cross-polytope conv{+/- margin e_i},
-    whose inradius that is.
-    """
-    V = P.vertices
-    k, d = V.shape
-    if d > 4 or k > 64:
-        margin = contains_origin_interior(P)[1]  # 0.0 when not inside
-        if margin <= 1e-9:
-            raise UnboundedPolarError("origin within tolerance of the boundary")
-        return Inradius(value=margin / math.sqrt(d), estimated=True)
-    # a zero row (the slack row's, in the augmented Z-) makes every d-subset
-    # holding it singular and bounds nothing: 0 <= 1
-    V = V[V.any(axis=1)]
-    best = max((float(np.linalg.norm(y)) for y in _polar_vertices(V)), default=0.0)
-    if best <= default_tolerances().feasibility:
-        raise UnboundedPolarError("polar polytope has no vertices (degenerate)")
-    if 1.0 / best <= 1e-9:  # the probe margin's threshold
-        raise UnboundedPolarError("origin within tolerance of the boundary")
-    return Inradius(value=1.0 / best, estimated=False)
+    inradius = _polar_probe(P)[2]
+    if inradius is None:
+        raise UnboundedPolarError(
+            "polar polytope has no vertices, or the origin is within tolerance "
+            "of the boundary"
+        )
+    return inradius
 
 
 class Facets(NamedTuple):

@@ -8,7 +8,7 @@ constraint in (a, b).
 """
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import lp as lpmod
@@ -27,14 +27,12 @@ class IndexedRow:
     label: str
     a: np.ndarray
     b: float
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)  # (a, b)
 
     def __post_init__(self):
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
         object.__setattr__(self, "b", float(self.b))
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.append(self.a, self.b)
+        object.__setattr__(self, "stacked", np.append(self.a, self.b))
 
 
 @dataclass(frozen=True)
@@ -113,6 +111,14 @@ def robust_counterpart(rp: RobustProblem) -> LsioProblem:
         for i, v in enumerate(U.vertices):
             rows.append(IndexedRow(label=f"{alpha}#{i}", a=v[:-1], b=v[-1]))
     return LsioProblem(cost=rp.cost, rows=tuple(rows))
+
+
+def _stacked_lp(rp: RobustProblem, labels) -> lpmod.LinearProgram:
+    """The LP of rp's robust counterpart with its sets taken in the order of
+    labels, as one stack of their vertex arrays: in rp's own order, the A
+    and b of robust_counterpart(rp).to_lp() bit for bit."""
+    rows = np.concatenate([rp.constraint_sets[alpha].vertices for alpha in labels])
+    return lpmod.LinearProgram(rp.cost, rows[:, :-1], rows[:, -1])
 
 
 def epigraph_reform(rp: RobustProblem) -> RobustProblem:

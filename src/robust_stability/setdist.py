@@ -16,6 +16,7 @@ from .errors import (
     EtaTooLargeError,
     HypothesisViolatedError,
     NotSolvableError,
+    NumericalBreakdownError,
 )
 from .geometry import (
     Polytope,
@@ -23,7 +24,13 @@ from .geometry import (
     project_onto_halfspaces,
     project_onto_polytope,
 )
-from .model import LsioProblem, RobustProblem, constraintwise_distance, robust_counterpart
+from .model import (
+    LsioProblem,
+    RobustProblem,
+    _stacked_lp,
+    constraintwise_distance,
+    robust_counterpart,
+)
 from .report import CertificateReport
 from .stability import augment_with_slack_row, check_interior_solvable, distance_to_infeasibility
 
@@ -68,18 +75,19 @@ class TruncatedDistance:
 
 def eps_argmin(pi: LsioProblem, eps: float) -> EpsArgmin:
     """H-rep of the eps-optimal set: feasible rows + level row."""
-    res = lpmod.solve(pi.to_lp())
+    lp = pi.to_lp()
+    res = lpmod.solve(lp)
     if res.status != lpmod.OPTIMAL:
         raise NotSolvableError(f"problem status {res.status}")
-    return _eps_argmin_from(pi, res, eps)
+    return _eps_argmin_from(lp, res, eps)
 
 
-def _eps_argmin_from(pi: LsioProblem, res: lpmod.SolveResult, eps: float) -> EpsArgmin:
-    """eps_argmin from an optimal solve of pi that the caller already has."""
+def _eps_argmin_from(lp: lpmod.LinearProgram, res: lpmod.SolveResult, eps: float) -> EpsArgmin:
+    """eps_argmin from an optimal solve of lp that the caller already has."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    rows = [(r.a.copy(), r.b) for r in pi.rows]
-    rows.append((-pi.cost.copy(), -(res.value + eps)))
+    rows = list(zip(lp.a_matrix, lp.rhs.tolist()))
+    rows.append((-lp.cost, -(res.value + eps)))
     return EpsArgmin(
         rows=tuple(rows), epsilon=float(eps), nu=res.value, witness=res.solution
     )
@@ -211,20 +219,28 @@ def eps_argmin_bound(
     eta: float, r: float, eps: float, c_norm: float, dist_infeas: float
 ) -> float:
     """The composed Lipschitz coefficient of the eps-argmin theorem:
-    (1 + 4r/eps) (1 + ||c||) (1 + r) sqrt(1 + r^2) / (dist_infeas - eta)."""
+    (1 + 4r/eps) (1 + ||c||) (1 + r) sqrt(1 + r^2) / (dist_infeas - eta).
+
+    NumericalBreakdownError when it overflows: inf * d_nat would read NaN,
+    or inf for a zero distance, and certify nothing."""
     if eps <= 0 or r <= 0:
         raise ValueError("need r > 0 and eps > 0")
     if not (0 < eta < dist_infeas) or dist_infeas - eta <= 1e-12:
         raise EtaTooLargeError(
             f"eta = {eta} must lie strictly below dist_infeas = {dist_infeas}"
         )
-    return (
+    coeff = (
         (1.0 + 4.0 * r / eps)
         * (1.0 + c_norm)
         * (1.0 + r)
         * float(np.sqrt(1.0 + r * r))
         / (dist_infeas - eta)
     )
+    if not np.isfinite(coeff):
+        raise NumericalBreakdownError(
+            f"eps-argmin coefficient overflows (r = {r}, eps = {eps}, eta = {eta})"
+        )
+    return coeff
 
 
 def check_eps_argmin_lipschitz(
@@ -242,20 +258,26 @@ def check_eps_argmin_lipschitz(
     solvable with bounded optimal face, d_nat < eta < distance to
     infeasibility of the augmented system, r0-ball meeting both eps-argmin
     sets, and both optimal values above -r0.  r0 is computed when omitted.
+    V's LP is its robust counterpart as one stack of V's vertex arrays, in
+    U's label order, solved from U's optimal basis (lp.solve's start), as
+    ValueLipschitzChecker.check solves it.
     """
     cpU = robust_counterpart(rpU)
     interior = check_interior_solvable(cpU)
     if not interior.ok:
         raise HypothesisViolatedError(f"reference problem: {interior.failing}")
-    cpV = robust_counterpart(rpV)
-    res_v = lpmod.solve(cpV.to_lp())
+    d_nat = constraintwise_distance(rpU, rpV)
+    if rpV.cost is None:
+        raise ValueError("the perturbed problem needs the fixed-cost form")
+    labels = rpU.constraint_sets
+    lp_v = _stacked_lp(rpV, labels)
+    res_v = lpmod.solve(lp_v, start=interior.solve_result.active)
     if res_v.status != lpmod.OPTIMAL:
         raise HypothesisViolatedError(f"perturbed problem status {res_v.status}")
 
     rho = interior.slater.rho
     augmented = augment_with_slack_row(cpU, rho)
     dist_infeas = distance_to_infeasibility(augmented.rows, require_slater=False)
-    d_nat = constraintwise_distance(rpU, rpV)
     if eta is None:
         eta = 0.5 * (d_nat + dist_infeas)
     if not d_nat < eta:
@@ -263,8 +285,8 @@ def check_eps_argmin_lipschitz(
     if not eta < dist_infeas:
         raise EtaTooLargeError(f"eta = {eta} >= dist_infeas = {dist_infeas}")
 
-    EU = _eps_argmin_from(cpU, interior.solve_result, eps)
-    EV = _eps_argmin_from(cpV, res_v, eps)
+    EU = _eps_argmin_from(_stacked_lp(rpU, labels), interior.solve_result, eps)
+    EV = _eps_argmin_from(lp_v, res_v, eps)
     nu_u, nu_v = EU.nu, EV.nu
     if r0 is None:
         r0 = (
@@ -286,9 +308,9 @@ def check_eps_argmin_lipschitz(
         r = 2.0 * r0
     if params is None:
         params = TruncatedDistParams(r=r, r0=r0)
-    td = truncated_hausdorff(EU, EV, params)
     c_norm = float(np.linalg.norm(cpU.cost))
     coeff = eps_argmin_bound(eta, r, eps, c_norm, dist_infeas)
+    td = truncated_hausdorff(EU, EV, params)
     bound = coeff * d_nat
     return CertificateReport.from_values(
         bound,

@@ -21,19 +21,18 @@ from .errors import (
     NotInteriorSolvableError,
     NuNotFiniteError,
     SlaterFailedError,
-    UnboundedPolarError,
 )
 from .geometry import (
     HSet,
     Polytope,
-    _polar_inradius,
-    contains_origin_interior,
+    _polar_probe,
     dist_origin_to_hset,
 )
 from .model import (
     IndexedRow,
     LsioProblem,
     RobustProblem,
+    _stacked_lp,
     constraintwise_distance,
     robust_counterpart,
 )
@@ -128,6 +127,8 @@ class InteriorSolvableResult:
     solve_result: lpmod.SolveResult
     bounded_face: bool
     failing: str  # "" when ok
+    margin: float = 0.0  # the Z- probe's margin; 0.0 unless bounded_face
+    d_z: Optional[float] = None  # inradius of Z- at the origin, None if unusable
 
 
 def check_interior_solvable(pi: LsioProblem) -> InteriorSolvableResult:
@@ -136,19 +137,22 @@ def check_interior_solvable(pi: LsioProblem) -> InteriorSolvableResult:
     For a solvable problem c.d >= 0 on {A d >= 0}, so the optimal face's
     recession cone {d : A d >= 0, c.d = 0} is {d : <a_t, d> >= 0,
     <-c, d> >= 0}.  That cone is {0} iff the a_t and -c positively span R^n,
-    i.e. iff the origin lies strictly inside Z-; the probe of
-    contains_origin_interior answers it.
+    i.e. iff the origin lies strictly inside Z-.  One polar pass over Z- of
+    the canonical rows (geometry._polar_probe) answers it and gives Z-'s
+    inradius d_z, which the stability constants read; the Slater LP and the
+    solve run on pi's own row order.
     """
     slater = lpmod.slater_constant([(r.a, r.b) for r in pi.rows])
     res = lpmod.solve(pi.to_lp())
-    bounded = False
+    bounded, margin, inradius = False, 0.0, None
     failing = ""
     if slater is None:
         failing = "strong Slater condition"
     elif res.status != lpmod.OPTIMAL:
         failing = f"solvability (status {res.status})"
     else:
-        bounded = contains_origin_interior(build_Zminus(pi))[0]
+        canon = LsioProblem(cost=pi.cost, rows=_canonical_rows(pi.rows))
+        bounded, margin, inradius = _polar_probe(build_Zminus(canon))
         if not bounded:
             failing = "bounded optimal face (origin strictly inside Z-)"
     return InteriorSolvableResult(
@@ -157,25 +161,24 @@ def check_interior_solvable(pi: LsioProblem) -> InteriorSolvableResult:
         solve_result=res,
         bounded_face=bounded,
         failing=failing,
+        margin=margin,
+        d_z=None if inradius is None else inradius.value,
     )
 
 
-def _boundary_distances(pi: LsioProblem):
+def _boundary_distances(pi: LsioProblem, interior: InteriorSolvableResult):
     """(canonical problem, distance to infeasibility, inradius of Z- at 0).
 
-    Assumes pi passed check_interior_solvable, itself or with the same Z-
-    hull (the augmented problem's zero slack row adds the interior point 0),
-    so the origin is already known to lie strictly inside Z-.
+    interior is check_interior_solvable's passing result for pi, or for pi
+    without the augmented problem's zero slack row, which leaves Z-'s
+    nonzero points, and so its d_z, as they are.
     """
-    canon = LsioProblem(cost=pi.cost, rows=_canonical_rows(pi.rows))
-    dist_infeas = dist_origin_to_hset(build_H(canon.rows))
-    try:
-        d_z = _polar_inradius(build_Zminus(canon)).value
-    except UnboundedPolarError as exc:
+    if interior.d_z is None:
         raise NotInteriorSolvableError(
             "origin not strictly interior to Z-(pi); boundary-case input rejected"
-        ) from exc
-    return canon, dist_infeas, d_z
+        )
+    canon = LsioProblem(cost=pi.cost, rows=_canonical_rows(pi.rows))
+    return canon, dist_origin_to_hset(build_H(canon.rows)), interior.d_z
 
 
 def distance_to_bd_solvable(pi: LsioProblem) -> float:
@@ -183,7 +186,7 @@ def distance_to_bd_solvable(pi: LsioProblem) -> float:
     interior = check_interior_solvable(pi)
     if not interior.ok:
         raise NotInteriorSolvableError(interior.failing)
-    _, d_i, d_z = _boundary_distances(pi)
+    _, d_i, d_z = _boundary_distances(pi, interior)
     return min(d_i, d_z)
 
 
@@ -203,12 +206,15 @@ def lipschitz_constant(
         raise NotInteriorSolvableError(interior.failing)
     if nu is None:
         nu = interior.solve_result.value
-    return _stability_constants(canon, nu, eps)
+    return _stability_constants(canon, nu, eps, interior)
 
 
-def _stability_constants(pi: LsioProblem, nu: float, eps) -> StabilityConstants:
-    """lipschitz_constant for a problem already known to be interior-solvable."""
-    canon, dist_infeas, d_z = _boundary_distances(pi)
+def _stability_constants(
+    pi: LsioProblem, nu: float, eps, interior: InteriorSolvableResult
+) -> StabilityConstants:
+    """lipschitz_constant for a problem that interior shows interior-solvable
+    (as _boundary_distances takes it)."""
+    canon, dist_infeas, d_z = _boundary_distances(pi, interior)
     c_norm = float(np.linalg.norm(canon.cost))
 
     dist_bd = min(dist_infeas, d_z)
@@ -272,7 +278,7 @@ class ValueLipschitzChecker:
         # neither the Slater property, the feasible set, the optimum nor the
         # recession cone, so the augmented problem is interior-solvable too.
         self.augmented = augment_with_slack_row(self.counterpart, self.rho)
-        self.constants = _stability_constants(self.augmented, self.nu_u, eps)
+        self.constants = _stability_constants(self.augmented, self.nu_u, eps, interior)
         self._active = interior.solve_result.active
 
     def check(self, rpV: RobustProblem) -> CertificateReport:
@@ -283,11 +289,7 @@ class ValueLipschitzChecker:
             )
         if rpV.cost is None:
             raise ValueError("the perturbed problem needs the fixed-cost form")
-        U = self.rpU.constraint_sets
-        rows = np.concatenate([rpV.constraint_sets[alpha].vertices for alpha in U])
-        res_v = lpmod.solve(
-            lpmod.LinearProgram(rpV.cost, rows[:, :-1], rows[:, -1]), start=self._active
-        )
+        res_v = lpmod.solve(_stacked_lp(rpV, self.rpU.constraint_sets), start=self._active)
         if res_v.status != lpmod.OPTIMAL:
             raise HypothesisViolatedError(
                 f"perturbed problem not solvable (status {res_v.status}) — "

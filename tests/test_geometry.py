@@ -579,6 +579,101 @@ class TestContainsOriginInterior:
         assert not inside and margin == 0.0
 
 
+def lp_probe(P):
+    """The probe as 2n LPs on the polar system, one per direction +/- e_i:
+    (inside, margin) with margin the smallest 1 / max{<d, y> : V y <= 1}."""
+    rows = [(-v, -1.0) for v in P.vertices]
+    margin = np.inf
+    for i in range(P.dim):
+        for s in (1.0, -1.0):
+            cost = np.zeros(P.dim)
+            cost[i] = -s
+            res = lp.solve(lp.LinearProgram.from_rows(cost, rows))
+            if res.status != lp.OPTIMAL or -1.0 / res.value <= 1e-9:
+                return False, 0.0
+            margin = min(margin, -1.0 / res.value)
+    return True, margin
+
+
+class TestPolarProbe:
+    """contains_origin_interior from the polar pass agrees with the LPs."""
+
+    @staticmethod
+    def polytopes(rng):
+        yield from TestBatchedSubsetsMatchLoop.polytopes(rng)  # zero rows, duplicates, rounding
+        for trial in range(80):
+            d = int(rng.integers(1, 5))
+            V = rng.normal(size=(int(rng.integers(1, 12)), d))
+            if trial % 4 == 1:
+                V = V + 2.0 * rng.normal(size=d)  # origin often outside
+            if trial % 4 == 2 and d > 1:
+                V[:, -1] = 0.0  # lower-dimensional
+            if trial % 4 == 3:
+                V = np.vstack([V, -V * rng.uniform(0.2, 2.0, size=(len(V), 1))])
+                V = np.vstack([V, V[:3], np.zeros((1, d))])
+            if trial % 5 == 0:
+                V = np.round(V)
+            yield geo.Polytope(V)
+        for d in (1.2e-9, 1.5e-9, 2e-9, 3e-9):
+            yield geo.Polytope([[1, d], [1, -d], [-1, 0]])
+        yield geo.Polytope(DEGENERATE_ZMINUS)
+
+    def test_agrees_with_lp_probe(self, rng):
+        verdicts = set()
+        for P in self.polytopes(rng):
+            inside, margin = geo.contains_origin_interior(P)
+            want_inside, want_margin = lp_probe(P)
+            assert inside == want_inside
+            assert margin == pytest.approx(want_margin, rel=1e-12, abs=0.0)
+            verdicts.add(inside)
+        assert verdicts == {True, False}
+
+    def test_certified_without_lp(self, rng, lp_solve_calls):
+        # a polytope in general position around the origin has every probe
+        # direction certified at a polar vertex
+        for _ in range(30):
+            d = int(rng.integers(1, 5))
+            V = rng.normal(size=(int(rng.integers(2 * d, 12)), d))
+            P = geo.Polytope(np.vstack([V, -V]))
+            assert geo.contains_origin_interior(P)[0]
+        assert lp_solve_calls[0] == 0
+
+    def test_lp_fallback(self, rng, monkeypatch, lp_solve_calls):
+        # with no direction certified every one is answered by its LP
+        cases = list(self.polytopes(rng))
+        want = [lp_probe(P) for P in cases]
+        monkeypatch.setattr(
+            geo, "_certified_directions", lambda S, Y: np.zeros(2 * Y.shape[1], dtype=bool)
+        )
+        lp_solve_calls[0] = 0
+        for P, (want_inside, want_margin) in zip(cases, want):
+            inside, margin = geo.contains_origin_interior(P)
+            assert inside == want_inside
+            assert margin == pytest.approx(want_margin, rel=1e-12, abs=0.0)
+            if inside:
+                assert geo.inradius_at_origin(P) == (1.0 / loop_inradius_best(P.vertices), False)
+        assert lp_solve_calls[0] >= len(cases)
+
+    def test_certificate_checks(self):
+        # the polar of conv{+/- e_i} is the square [-1, 1]^2; at its vertex
+        # (1, 1), basis I, e_1 and e_2 have multipliers e_1 and e_2, while
+        # -e_1 and -e_2 have a negative one
+        I = np.eye(2)[None]
+        assert geo._certified_directions(I, np.array([[1.0, 1.0]])).tolist() == [
+            True, False, True, False
+        ]
+        # (0.5, 1) does not solve I y = 1: e_1's gap 1 - 0.5 stays open
+        assert geo._certified_directions(I, np.array([[0.5, 1.0]])).tolist() == [
+            False, False, True, False
+        ]
+        # a basis whose inverse overflows certifies nothing, silently
+        S = np.array([[[1.0, 0.0], [1.0, 1e-310]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = geo._certified_directions(S, np.array([[1.0, 0.0]]))
+        assert not got.any()
+
+
 class TestHalfspacesAndVertices:
     UNIT_SQUARE = [
         ([1.0, 0.0], 0.0),

@@ -332,6 +332,19 @@ class TestCli:
         assert code == 0
         assert rep["passed"] is True
 
+    def test_epsopt_check_overflowing_bound_exits_1(self, tmp_path, capsys):
+        # r = 1e308 overflows the coefficient; with U == V, inf * d_nat = NaN
+        cfg = tmp_path / "ec.json"
+        problem = toy_problem_dict()
+        cfg.write_text(
+            json.dumps({"problemU": problem, "problemV": problem, "eps": 0.1, "r": 1e308})
+        )
+        code = hn.cli(["epsopt-check", str(cfg)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1
+        rep = json.loads(lines[0])
+        assert rep["error"] == "NumericalBreakdownError" and "overflows" in rep["message"]
+
     def test_converge(self, tmp_path, capsys):
         cfg = toy_config(tmp_path, trials=12, magnitudes=[1e-2])
         code, rep = self.run(["converge", str(cfg)], capsys)
