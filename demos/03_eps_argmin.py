@@ -28,7 +28,7 @@ eps = 0.25
 EU = eps_argmin(robust_counterpart(rpU), eps)
 print(f"nu(U) = {EU.nu:.6f}; eps = {eps}")
 print("eps-argmin(U) vertices:")
-for v in enumerate_hrep_vertices(EU.rows, 2):
+for v in enumerate_hrep_vertices(EU.rows):
     print(f"  {np.round(v, 5)}")
 print()
 

@@ -11,14 +11,12 @@ Submodules:
 """
 
 from .config import Tolerances, default_tolerances
-from .geometry import HSet, Polytope
-from .model import IndexedRow, LsioProblem, RobustProblem
+from .geometry import Polytope
+from .model import LsioProblem, RobustProblem
 from .report import CertificateReport
 
 __all__ = [
     "CertificateReport",
-    "HSet",
-    "IndexedRow",
     "LsioProblem",
     "Polytope",
     "RobustProblem",

@@ -60,29 +60,6 @@ class Polytope:
         return Polytope(self.vertices * float(s))
 
 
-@dataclass(frozen=True)
-class HSet:
-    """conv(generators) + {(0,..,0,-mu) : mu >= 0} in R^(n+1).
-
-    Generators are the stacked (a_t, b_t) rows of a constraint system; the
-    recession ray points down the last coordinate.
-    """
-
-    generators: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.generators, dtype=float)
-        if g.ndim != 2 or g.shape[0] == 0:
-            raise ValueError("generators must be a non-empty 2-D array")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("generators must be finite")
-        object.__setattr__(self, "generators", g)
-
-    @property
-    def dim(self) -> int:
-        return self.generators.shape[1]
-
-
 def _affine_minimizer(B):
     """Min-norm point of the affine hull of the rows of B.
 
@@ -269,14 +246,16 @@ def hausdorff(U, V) -> float:
     return _hausdorff_max(pairs) if pairs else 0.0
 
 
-def dist_origin_to_hset(H: HSet) -> float:
-    """min over lambda in the simplex, mu >= 0 of ||sum lam_i g_i - mu e_last||.
+def dist_origin_to_hset(G) -> float:
+    """Distance from the origin to H = conv(rows of G) + {(0,..,0,-mu) : mu >= 0}:
+    min over lambda in the simplex, mu >= 0 of ||sum lam_i g_i - mu e_last||.
 
+    G is a constraint system's (m, n+1) array of stacked rows [a_t | b_t],
+    so H is the system's H set and the ray points down the b coordinate.
     The ray contributes only mu <= max ||g|| at the optimum, so the set equals
     conv(G union (G - mu_max e_last)) with mu_max = 2 (max ||g|| + 1), and one
     min-norm-point solve is exact.
     """
-    G = H.generators
     mu_max = 2.0 * (float(np.max(np.linalg.norm(G, axis=1))) + 1.0)
     shifted = G.copy()
     shifted[:, -1] -= mu_max
@@ -415,17 +394,16 @@ def _polar_probe(P: Polytope):
 def inradius_at_origin(P: Polytope) -> Inradius:
     """Distance from the (interior) origin to the boundary of conv(P).
 
-    Probes the origin first: OriginNotInteriorError if it is not inside,
-    UnboundedPolarError for a probe margin <= 1e-9; then the inradius of
-    _polar_probe, and UnboundedPolarError where it gives none (no polar
-    vertex, or a value <= 1e-9).
+    Reads one _polar_probe: OriginNotInteriorError if the origin is not
+    inside, UnboundedPolarError for a probe margin <= 1e-9, and
+    UnboundedPolarError where it gives no inradius (no polar vertex, or a
+    value <= 1e-9).
     """
-    inside, margin = contains_origin_interior(P)
+    inside, margin, inradius = _polar_probe(P)
     if not inside:
         raise OriginNotInteriorError("origin is not strictly inside conv(P)")
     if margin <= 1e-9:
         raise UnboundedPolarError("origin within tolerance of the boundary")
-    inradius = _polar_probe(P)[2]
     if inradius is None:
         raise UnboundedPolarError(
             "polar polytope has no vertices, or the origin is within tolerance "
@@ -464,8 +442,11 @@ def facets(P: Polytope):
     off = 1.0 / np.linalg.norm(Y, axis=1)
     scale = float(off.max(initial=1.0))
     box = 2.0 * max(1.0, float(np.max(np.linalg.norm(W, axis=1))))
-    rows = [(-y, -1.0) for y in Y] + [(s * e, -box) for e in np.eye(d) for s in (1.0, -1.0)]
-    X = np.array(enumerate_hrep_vertices(rows, d)).reshape(-1, d)
+    rows = np.vstack(
+        [np.column_stack([-Y, np.full(len(Y), -1.0)])]
+        + [np.append(s * e, -box) for e in np.eye(d) for s in (1.0, -1.0)]
+    )
+    X = np.array(enumerate_hrep_vertices(rows)).reshape(-1, d)
     near = np.linalg.norm(X[:, None, :] - W, axis=2).min(axis=1, initial=np.inf)
     if not len(X) or near.max() > 1e-9 * scale:
         return None
@@ -473,15 +454,15 @@ def facets(P: Polytope):
 
 
 def project_onto_halfspaces(p, rows):
-    """Dykstra projection of p onto {x : <a_i, x> >= b_i for all i}.
+    """Dykstra projection of p onto {x : <a_i, x> >= b_i for all i}, the
+    rows [a_i | b_i] of the (m, n+1) array rows.
 
     Returns (q, dist).  Converges to the exact Euclidean projection for any
     non-empty intersection of halfspaces; desk-scale inputs settle quickly.
     IterationLimitError if _DYKSTRA_MAX_SWEEPS sweeps leave it unconverged.
     """
     p = np.asarray(p, dtype=float)
-    A = np.array([np.asarray(a, dtype=float) for a, _ in rows])
-    b = np.array([float(bb) for _, bb in rows])
+    A, b = rows[:, :-1], rows[:, -1]
     norms2 = np.sum(A * A, axis=1)
     m = A.shape[0]
     x = p.copy()
@@ -508,8 +489,9 @@ def project_onto_halfspaces(p, rows):
     return x, float(np.linalg.norm(p - x))
 
 
-def enumerate_hrep_vertices(rows, dim: int):
-    """Vertices of {x : <a_i, x> >= b_i}, dim <= 4, by basis enumeration.
+def enumerate_hrep_vertices(rows):
+    """Vertices of {x : <a_i, x> >= b_i}, the rows [a_i | b_i] of the
+    (m, dim+1) array rows, dim <= 4, by basis enumeration.
 
     Every vertex is the unique solution of dim active rows; candidates are
     filtered by feasibility against all rows, row i at its own scale
@@ -518,8 +500,8 @@ def enumerate_hrep_vertices(rows, dim: int):
     rank < dim (singular values <= 1e-12 of the largest) solve to arbitrary
     face points, e.g. on an edge that four facets of a 4-D polytope share.
     """
-    A = np.array([np.asarray(a, dtype=float) for a, _ in rows])
-    b = np.array([float(bb) for _, bb in rows])
+    A, b = rows[:, :-1], rows[:, -1]
+    dim = A.shape[1]
     tol = 1e-8 * np.maximum(np.maximum(1.0, np.abs(b)), np.abs(A).max(axis=1))
     verts = []
     for S, X, AX in _subset_solutions(A, b, dim):

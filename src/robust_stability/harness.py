@@ -267,10 +267,8 @@ def run_perturbation_suite(rp: RobustProblem, config: ExperimentConfig):
 
 
 def optimal_face_rows(pi: LsioProblem, nu: float):
-    """H-rep of the optimal face: feasible rows plus <c, x> <= nu."""
-    rows = [(r.a.copy(), r.b) for r in pi.rows]
-    rows.append((-pi.cost.copy(), -float(nu)))
-    return rows
+    """H-rep of the optimal face: feasible rows plus <c, x> <= nu, stacked."""
+    return np.vstack([pi.rows, np.append(-pi.cost, -float(nu))])
 
 
 def run_convergence_suite(rp: RobustProblem, config: ExperimentConfig):
@@ -279,10 +277,8 @@ def run_convergence_suite(rp: RobustProblem, config: ExperimentConfig):
     Each step solves the perturbed counterpart and projects its optimal point
     onto the optimal face of the reference problem.
     """
-    cp = robust_counterpart(rp)
     checker = ValueLipschitzChecker(rp, eps=config.epsilon)
-    nu_u = checker.nu_u
-    face = optimal_face_rows(cp, nu_u)
+    face = optimal_face_rows(checker.counterpart, checker.nu_u)
     records = []
     for j in range(1, config.trials + 1):
         rng = _trial_rng(config.seed, 0)  # same stream: same direction each step
@@ -443,8 +439,7 @@ def _cmd_solve(args):
 
 def _cmd_slater(args):
     rp = load_problem(args.problem)
-    cp = robust_counterpart(rp)
-    cert = lpmod.slater_constant([(r.a, r.b) for r in cp.rows])
+    cert = lpmod.slater_constant(robust_counterpart(rp).rows)
     if cert is None:
         report = {"command": "slater", "slater": False}
     else:
@@ -516,9 +511,7 @@ def _cmd_transform_check(args):
         seed = args.seed
     rho = _field(data, "rho", "a number") if "rho" in data else None
     if rho is None:
-        cert = lpmod.slater_constant(
-            [(r.a, r.b) for r in robust_counterpart(rpU).rows]
-        )
+        cert = lpmod.slater_constant(robust_counterpart(rpU).rows)
         if cert is None:
             raise HypothesisViolatedError("no Slater point; supply rho explicitly")
         rho = cert.rho
@@ -586,6 +579,8 @@ def cli(argv=None) -> int:
         if args.command is None:
             raise _UsageError("a subcommand is required")
         report, code = _COMMANDS[args.command](args)
+        if args.out:
+            save_report(report, args.out, fmt=args.format)
     except _UsageError as exc:
         sys.stdout.write(report_json({"error": "usage", "message": str(exc)}))
         return 1
@@ -595,9 +590,6 @@ def cli(argv=None) -> int:
         )
         return 1
     sys.stdout.write(report_json(report))
-    out = getattr(args, "out", None)
-    if out:
-        save_report(report, out, fmt=args.format)
     return code
 
 

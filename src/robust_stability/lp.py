@@ -42,19 +42,6 @@ class LinearProgram:
     a_matrix: np.ndarray
     rhs: np.ndarray
 
-    @classmethod
-    def from_rows(cls, cost, rows) -> "LinearProgram":
-        """Build from a list of (a, b) pairs meaning <a, x> >= b."""
-        cost = np.asarray(cost, dtype=float)
-        n = cost.shape[0]
-        if rows:
-            a = np.array([np.asarray(r[0], dtype=float) for r in rows])
-            b = np.array([float(r[1]) for r in rows])
-        else:
-            a = np.zeros((0, n))
-            b = np.zeros(0)
-        return cls(cost=cost, a_matrix=a, rhs=b)
-
     def __post_init__(self):
         for arr in (self.cost, self.a_matrix, self.rhs):
             if not np.isfinite(arr).all():
@@ -260,17 +247,16 @@ def solve(lp: LinearProgram, start=None) -> SolveResult:
 def slater_constant(rows):
     """Maximal strong-Slater constant rho* with an attaining point.
 
-    Solves max rho s.t. <a_t, x> >= b_t + rho, rho <= _SLATER_CAP, over (x, rho).
+    rows is an (m, n+1) array of stacked rows [a_t | b_t].  Solves
+    max rho s.t. <a_t, x> >= b_t + rho, rho <= _SLATER_CAP, over (x, rho).
     Returns a SlaterCertificate, or None when rho* <= 0 (no strict slack).
     The LP is written in rho = rho0 + rho' with rho0 = min(_SLATER_CAP, min_t -b_t),
     so that every rhs is <= 0 and the simplex starts feasible.
     """
     tol = default_tolerances().feasibility
-    rows = list(rows)
-    if not rows:
+    if not len(rows):
         raise ValueError("slater_constant needs at least one row")
-    A = np.array([a for a, _ in rows], dtype=float)
-    b = np.array([bt for _, bt in rows], dtype=float)
+    A, b = rows[:, :-1], rows[:, -1]
     m, n = A.shape
     rho0 = min(_SLATER_CAP, float(-b.max()))
     aug = np.full((m + 1, n + 1), -1.0)

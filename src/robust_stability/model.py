@@ -1,14 +1,15 @@
 """Problem data model.
 
 Robust problems carry constraint-wise uncertainty polytopes in R^(n+1)
-(vertices are stacked (a, b) rows); finite LSIO problems are indexed row
-lists.  The robust counterpart instantiates every uncertainty vertex, which
+(vertices are stacked (a, b) rows); a finite LSIO system is one (m, n+1)
+array of stacked rows [a | b], each meaning <a, x> >= b, with one label per
+row.  The robust counterpart instantiates every uncertainty vertex, which
 is exact for polytopal sets by convexity of each U_alpha and linearity of the
 constraint in (a, b).
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import lp as lpmod
@@ -21,47 +22,33 @@ from .geometry import Polytope, hausdorff
 
 
 @dataclass(frozen=True)
-class IndexedRow:
-    """One constraint <a, x> >= b with an opaque index label."""
-
-    label: str
-    a: np.ndarray
-    b: float
-    stacked: np.ndarray = field(init=False, repr=False, compare=False)  # (a, b)
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "stacked", np.append(self.a, self.b))
-
-
-@dataclass(frozen=True)
 class LsioProblem:
+    """min <cost, x> subject to <a_t, x> >= b_t for the rows [a_t | b_t] of
+    the (m, n+1) array rows; labels names the rows, one unique str each."""
+
     cost: np.ndarray
-    rows: tuple
+    rows: np.ndarray
+    labels: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "cost", np.asarray(self.cost, dtype=float))
-        rows = tuple(self.rows)
-        labels = [r.label for r in rows]
-        if len(set(labels)) != len(labels):
+        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=float))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if self.rows.ndim != 2 or self.rows.shape[1] != self.dim + 1:
+            raise DimensionMismatchError(
+                f"rows have shape {self.rows.shape}, cost has dimension {self.dim}"
+            )
+        if len(self.labels) != len(self.rows):
+            raise ValueError(f"{len(self.labels)} labels for {len(self.rows)} rows")
+        if len(set(self.labels)) != len(self.labels):
             raise ValueError("row labels must be unique within a system")
-        for r in rows:
-            if r.a.shape[0] != self.cost.shape[0]:
-                raise DimensionMismatchError(
-                    f"row {r.label!r} has dimension {r.a.shape[0]}, "
-                    f"cost has {self.cost.shape[0]}"
-                )
-        object.__setattr__(self, "rows", rows)
 
     @property
     def dim(self) -> int:
         return self.cost.shape[0]
 
     def to_lp(self) -> lpmod.LinearProgram:
-        return lpmod.LinearProgram.from_rows(
-            self.cost, [(r.a, r.b) for r in self.rows]
-        )
+        return lpmod.LinearProgram(self.cost, self.rows[:, :-1], self.rows[:, -1])
 
 
 @dataclass(frozen=True)
@@ -106,19 +93,18 @@ def robust_counterpart(rp: RobustProblem) -> LsioProblem:
     """
     if rp.cost is None:
         raise ValueError("robust_counterpart needs the fixed-cost form")
-    rows = []
-    for alpha, U in rp.constraint_sets.items():
-        for i, v in enumerate(U.vertices):
-            rows.append(IndexedRow(label=f"{alpha}#{i}", a=v[:-1], b=v[-1]))
-    return LsioProblem(cost=rp.cost, rows=tuple(rows))
+    labels = tuple(
+        f"{alpha}#{i}"
+        for alpha, U in rp.constraint_sets.items()
+        for i in range(len(U.vertices))
+    )
+    return LsioProblem(rp.cost, _stacked_rows(rp, rp.constraint_sets), labels)
 
 
-def _stacked_lp(rp: RobustProblem, labels) -> lpmod.LinearProgram:
-    """The LP of rp's robust counterpart with its sets taken in the order of
-    labels, as one stack of their vertex arrays: in rp's own order, the A
-    and b of robust_counterpart(rp).to_lp() bit for bit."""
-    rows = np.concatenate([rp.constraint_sets[alpha].vertices for alpha in labels])
-    return lpmod.LinearProgram(rp.cost, rows[:, :-1], rows[:, -1])
+def _stacked_rows(rp: RobustProblem, labels) -> np.ndarray:
+    """The rows of rp's robust counterpart with its sets taken in the order
+    of labels, as one stack of their vertex arrays."""
+    return np.concatenate([rp.constraint_sets[alpha].vertices for alpha in labels])
 
 
 def epigraph_reform(rp: RobustProblem) -> RobustProblem:
@@ -144,21 +130,14 @@ def epigraph_reform(rp: RobustProblem) -> RobustProblem:
     return RobustProblem(constraint_sets=sets, cost=cost)
 
 
-def _row_map(system):
-    if isinstance(system, LsioProblem):
-        rows = system.rows
-    else:
-        rows = tuple(system)
-    return {r.label: r.stacked for r in rows}
-
-
-def delta_sigma(s1, s2) -> float:
+def delta_sigma(s1: LsioProblem, s2: LsioProblem) -> float:
     """sup over shared labels of ||(a1, b1) - (a2, b2)||.
 
     Defined only on a common index set; differing label sets are an error,
     not a large distance.
     """
-    m1, m2 = _row_map(s1), _row_map(s2)
+    m1 = dict(zip(s1.labels, s1.rows))
+    m2 = dict(zip(s2.labels, s2.rows))
     if set(m1) != set(m2):
         raise IndexMismatchError(
             f"label sets differ: {sorted(set(m1) ^ set(m2))}"
@@ -188,8 +167,7 @@ def constraintwise_distance(rpU: RobustProblem, rpV: RobustProblem) -> float:
 
 def _collapse(rows, tol):
     out = []
-    for r in rows:
-        v = r.stacked
+    for v in rows:
         if not any(np.linalg.norm(v - w) <= tol for w in out):
             out.append(v)
     return out

@@ -27,7 +27,7 @@ from .geometry import (
 from .model import (
     LsioProblem,
     RobustProblem,
-    _stacked_lp,
+    _stacked_rows,
     constraintwise_distance,
     robust_counterpart,
 )
@@ -39,14 +39,14 @@ from .stability import augment_with_slack_row, check_interior_solvable, distance
 class EpsArgmin:
     """H-representation of the eps-optimal set with its witness point."""
 
-    rows: tuple  # (a, b) pairs meaning <a, x> >= b
+    rows: np.ndarray  # (m, n+1) stacked rows [a | b] meaning <a, x> >= b
     epsilon: float
     nu: float
     witness: np.ndarray  # an optimal point, certifying non-emptiness
 
     @property
     def dim(self) -> int:
-        return self.rows[0][0].shape[0]
+        return self.rows.shape[1] - 1
 
 
 _DIRECTION_COUNT = 64  # boundary rays of an inexact truncated excess
@@ -68,28 +68,29 @@ class TruncatedDistParams:
 
 @dataclass(frozen=True)
 class TruncatedDistance:
-    value: float
-    certified_lower: float
+    value: float  # the certified lower bound
     estimate: bool
 
 
 def eps_argmin(pi: LsioProblem, eps: float) -> EpsArgmin:
     """H-rep of the eps-optimal set: feasible rows + level row."""
-    lp = pi.to_lp()
-    res = lpmod.solve(lp)
+    res = lpmod.solve(pi.to_lp())
     if res.status != lpmod.OPTIMAL:
         raise NotSolvableError(f"problem status {res.status}")
-    return _eps_argmin_from(lp, res, eps)
+    return _eps_argmin_from(pi.cost, pi.rows, res, eps)
 
 
-def _eps_argmin_from(lp: lpmod.LinearProgram, res: lpmod.SolveResult, eps: float) -> EpsArgmin:
-    """eps_argmin from an optimal solve of lp that the caller already has."""
+def _eps_argmin_from(cost, rows, res: lpmod.SolveResult, eps: float) -> EpsArgmin:
+    """eps_argmin of min <cost, x> over the stacked rows, from an optimal
+    solve that the caller already has."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    rows = list(zip(lp.a_matrix, lp.rhs.tolist()))
-    rows.append((-lp.cost, -(res.value + eps)))
+    level = np.append(-cost, -(res.value + eps))
     return EpsArgmin(
-        rows=tuple(rows), epsilon=float(eps), nu=res.value, witness=res.solution
+        rows=np.vstack([rows, level]),
+        epsilon=float(eps),
+        nu=res.value,
+        witness=res.solution,
     )
 
 
@@ -110,8 +111,8 @@ def _vertex_candidates(C: Union[EpsArgmin, Polytope], r: float):
     if C.dim > 4:
         return None  # estimator-only above desk scale
     w = 1.0 / max(1.0, 2.0 * r)
-    box = [(s * w * e, -2.0 * r * w) for e in np.eye(C.dim) for s in (1.0, -1.0)]
-    return enumerate_hrep_vertices(list(C.rows) + box, C.dim)
+    box = [np.append(s * w * e, -2.0 * r * w) for e in np.eye(C.dim) for s in (1.0, -1.0)]
+    return enumerate_hrep_vertices(np.vstack([C.rows, *box]))
 
 
 def _interior_anchor(C: Union[EpsArgmin, Polytope], r: float):
@@ -180,7 +181,7 @@ def truncated_hausdorff(
     e_dc, exact_dc = _truncated_excess(D, C, params)
     value = max(e_cd, e_dc)
     exact = exact_cd and exact_dc
-    return TruncatedDistance(value=value, certified_lower=value, estimate=not exact)
+    return TruncatedDistance(value=value, estimate=not exact)
 
 
 def d_r_metric(
@@ -269,8 +270,8 @@ def check_eps_argmin_lipschitz(
     d_nat = constraintwise_distance(rpU, rpV)
     if rpV.cost is None:
         raise ValueError("the perturbed problem needs the fixed-cost form")
-    labels = rpU.constraint_sets
-    lp_v = _stacked_lp(rpV, labels)
+    rows_v = _stacked_rows(rpV, rpU.constraint_sets)
+    lp_v = lpmod.LinearProgram(rpV.cost, rows_v[:, :-1], rows_v[:, -1])
     res_v = lpmod.solve(lp_v, start=interior.solve_result.active)
     if res_v.status != lpmod.OPTIMAL:
         raise HypothesisViolatedError(f"perturbed problem status {res_v.status}")
@@ -285,8 +286,8 @@ def check_eps_argmin_lipschitz(
     if not eta < dist_infeas:
         raise EtaTooLargeError(f"eta = {eta} >= dist_infeas = {dist_infeas}")
 
-    EU = _eps_argmin_from(_stacked_lp(rpU, labels), interior.solve_result, eps)
-    EV = _eps_argmin_from(lp_v, res_v, eps)
+    EU = _eps_argmin_from(cpU.cost, cpU.rows, interior.solve_result, eps)
+    EV = _eps_argmin_from(rpV.cost, rows_v, res_v, eps)
     nu_u, nu_v = EU.nu, EV.nu
     if r0 is None:
         r0 = (
@@ -314,7 +315,7 @@ def check_eps_argmin_lipschitz(
     bound = coeff * d_nat
     return CertificateReport.from_values(
         bound,
-        td.certified_lower,
+        td.value,
         context={
             "check": "eps-argmin-lipschitz",
             "d_nat": d_nat,

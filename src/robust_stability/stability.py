@@ -22,17 +22,11 @@ from .errors import (
     NuNotFiniteError,
     SlaterFailedError,
 )
-from .geometry import (
-    HSet,
-    Polytope,
-    _polar_probe,
-    dist_origin_to_hset,
-)
+from .geometry import Polytope, _polar_probe, dist_origin_to_hset
 from .model import (
-    IndexedRow,
     LsioProblem,
     RobustProblem,
-    _stacked_lp,
+    _stacked_rows,
     constraintwise_distance,
     robust_counterpart,
 )
@@ -74,50 +68,44 @@ class StabilityConstants:
         }
 
 
-def _canonical_rows(rows):
-    """Bitwise-deduplicated rows in lexicographic (a, b) order."""
-    seen = {}
-    for r in rows:
-        seen[r.stacked.tobytes()] = r
-    ordered = sorted(seen.values(), key=lambda r: tuple(r.stacked))
-    return tuple(ordered)
-
-
-def build_H(rows) -> HSet:
-    """H(system): conv of stacked (a_t, b_t) plus the downward b-ray."""
-    rows = tuple(rows)
-    if not rows:
-        raise ValueError("build_H needs a non-empty system")
-    return HSet(np.array([r.stacked for r in rows]))
+def _canonical(pi: LsioProblem) -> LsioProblem:
+    """pi with its rows bitwise-deduplicated, each kept at its first
+    occurrence with its label, in stable lexicographic (a, b) order.  Bytes,
+    not np.unique, decide duplicates: np.unique would merge -0.0 with 0.0."""
+    first = {}
+    for i, row in enumerate(pi.rows):
+        first.setdefault(row.tobytes(), i)
+    keep = np.fromiter(first.values(), np.intp)
+    keep = keep[np.lexsort(pi.rows[keep].T[::-1])]
+    return LsioProblem(pi.cost, pi.rows[keep], [pi.labels[i] for i in keep])
 
 
 def sup_R(pi: LsioProblem, nu: float) -> float:
     """max of all -b_t and the optimal value nu."""
     if not np.isfinite(nu):
         raise NuNotFiniteError(f"nu = {nu}")
-    return max(max(-r.b for r in pi.rows), float(nu))
+    return max(max((-pi.rows[:, -1]).tolist()), float(nu))
 
 
 def build_Zminus(pi: LsioProblem) -> Polytope:
     """conv({a_t} union {-c}) in R^n."""
-    if not pi.rows:
+    if not len(pi.rows):
         raise ValueError("build_Zminus needs a non-empty system")
-    pts = [r.a for r in pi.rows] + [-pi.cost]
-    return Polytope(np.array(pts))
+    return Polytope(np.vstack([pi.rows[:, :-1], -pi.cost]))
 
 
 def distance_to_infeasibility(rows, require_slater: bool = True) -> float:
-    """Smallest data perturbation making the system infeasible: d(0, H).
+    """Smallest data perturbation making the system of stacked rows
+    [a_t | b_t] infeasible: d(0, H), H = conv(rows) plus the downward b-ray.
 
     With strong Slater the origin is exterior to H, so the distance to the
     boundary equals the distance to the set.
     """
-    rows = tuple(rows)
     if require_slater:
-        cert = lpmod.slater_constant([(r.a, r.b) for r in rows])
+        cert = lpmod.slater_constant(rows)
         if cert is None:
             raise SlaterFailedError("system has no strong Slater point")
-    return dist_origin_to_hset(build_H(rows))
+    return dist_origin_to_hset(rows)
 
 
 @dataclass(frozen=True)
@@ -142,7 +130,7 @@ def check_interior_solvable(pi: LsioProblem) -> InteriorSolvableResult:
     inradius d_z, which the stability constants read; the Slater LP and the
     solve run on pi's own row order.
     """
-    slater = lpmod.slater_constant([(r.a, r.b) for r in pi.rows])
+    slater = lpmod.slater_constant(pi.rows)
     res = lpmod.solve(pi.to_lp())
     bounded, margin, inradius = False, 0.0, None
     failing = ""
@@ -151,8 +139,7 @@ def check_interior_solvable(pi: LsioProblem) -> InteriorSolvableResult:
     elif res.status != lpmod.OPTIMAL:
         failing = f"solvability (status {res.status})"
     else:
-        canon = LsioProblem(cost=pi.cost, rows=_canonical_rows(pi.rows))
-        bounded, margin, inradius = _polar_probe(build_Zminus(canon))
+        bounded, margin, inradius = _polar_probe(build_Zminus(_canonical(pi)))
         if not bounded:
             failing = "bounded optimal face (origin strictly inside Z-)"
     return InteriorSolvableResult(
@@ -177,8 +164,8 @@ def _boundary_distances(pi: LsioProblem, interior: InteriorSolvableResult):
         raise NotInteriorSolvableError(
             "origin not strictly interior to Z-(pi); boundary-case input rejected"
         )
-    canon = LsioProblem(cost=pi.cost, rows=_canonical_rows(pi.rows))
-    return canon, dist_origin_to_hset(build_H(canon.rows)), interior.d_z
+    canon = _canonical(pi)
+    return canon, dist_origin_to_hset(canon.rows), interior.d_z
 
 
 def distance_to_bd_solvable(pi: LsioProblem) -> float:
@@ -200,7 +187,7 @@ def lipschitz_constant(
     hypotheses are checked on the canonical copy, whose solve gives nu when
     it is not supplied.
     """
-    canon = LsioProblem(cost=pi.cost, rows=_canonical_rows(pi.rows))
+    canon = _canonical(pi)
     interior = check_interior_solvable(canon)
     if not interior.ok:
         raise NotInteriorSolvableError(interior.failing)
@@ -251,9 +238,8 @@ def _stability_constants(
 
 def augment_with_slack_row(pi: LsioProblem, rho: float) -> LsioProblem:
     """Append the trivial row <0, x> >= -rho used by the theorem's construction."""
-    n = pi.dim
-    row = IndexedRow(label=SLACK_ROW_LABEL, a=np.zeros(n), b=-float(rho))
-    return LsioProblem(cost=pi.cost, rows=pi.rows + (row,))
+    rows = np.vstack([pi.rows, np.append(np.zeros(pi.dim), -float(rho))])
+    return LsioProblem(pi.cost, rows, pi.labels + (SLACK_ROW_LABEL,))
 
 
 class ValueLipschitzChecker:
@@ -289,7 +275,9 @@ class ValueLipschitzChecker:
             )
         if rpV.cost is None:
             raise ValueError("the perturbed problem needs the fixed-cost form")
-        res_v = lpmod.solve(_stacked_lp(rpV, self.rpU.constraint_sets), start=self._active)
+        rows = _stacked_rows(rpV, self.rpU.constraint_sets)
+        lp_v = lpmod.LinearProgram(rpV.cost, rows[:, :-1], rows[:, -1])
+        res_v = lpmod.solve(lp_v, start=self._active)
         if res_v.status != lpmod.OPTIMAL:
             raise HypothesisViolatedError(
                 f"perturbed problem not solvable (status {res_v.status}) — "

@@ -18,7 +18,6 @@ from robust_stability import stability as st
 from robust_stability import transform as tf
 from robust_stability.errors import NotInteriorSolvableError
 from robust_stability.geometry import (
-    HSet,
     Polytope,
     contains_origin_interior,
     dist_origin_to_hset,
@@ -28,7 +27,6 @@ from robust_stability.geometry import (
     project_onto_halfspaces,
 )
 from robust_stability.model import (
-    IndexedRow,
     LsioProblem,
     RobustProblem,
     constraintwise_distance,
@@ -56,18 +54,12 @@ def _report(num, desc, ok, elapsed, budget, detail=""):
 
 def test_01_indexing_distance_example():
     """Matched indexing gives exactly 0; swapped gives sqrt(2) to 1e-12."""
-    s1 = (
-        IndexedRow("t1", [1.0, 0.0], 0.0),
-        IndexedRow("t2", [0.0, 1.0], 0.0),
-    )
-    matched = (
-        IndexedRow("t1", [1.0, 0.0], 0.0),
-        IndexedRow("t2", [0.0, 1.0], 0.0),
-    )
-    swapped = (
-        IndexedRow("t1", [0.0, 1.0], 0.0),
-        IndexedRow("t2", [1.0, 0.0], 0.0),
-    )
+    def system(rows):
+        return LsioProblem(cost=[0.0, 0.0], rows=rows, labels=("t1", "t2"))
+
+    s1 = system([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    matched = system([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    swapped = system([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     delta_sigma(s1, matched)  # warm-up outside the timed region
     t0 = time.perf_counter()
     d_match = delta_sigma(s1, matched)
@@ -169,13 +161,10 @@ def test_04_constants_invariance(rng):
         eps = checker.constants.epsilon
         base = st.lipschitz_constant(pi, eps=eps).to_dict()
         perm = rng.permutation(len(pi.rows))
-        rows = tuple(
-            IndexedRow(f"p{i}", pi.rows[j].a, pi.rows[j].b)
-            for i, j in enumerate(perm)
-        )
-        rows = rows + (IndexedRow("dup", rows[0].a, rows[0].b),)
+        rows = np.vstack([pi.rows[perm], pi.rows[perm[:1]]])
+        labels = [f"p{i}" for i in range(len(perm))] + ["dup"]
         other = st.lipschitz_constant(
-            LsioProblem(cost=pi.cost, rows=rows), eps=eps
+            LsioProblem(cost=pi.cost, rows=rows, labels=labels), eps=eps
         ).to_dict()
         for k in base:
             scale = max(1.0, abs(base[k]))
@@ -193,8 +182,7 @@ def test_04_constants_invariance(rng):
 
 
 def _strongly_feasible(rows, shift, mag):
-    shifted = [(a + mag * shift[:-1], b + mag * shift[-1]) for a, b in rows]
-    return lp.slater_constant(shifted) is not None
+    return lp.slater_constant(rows + mag * shift) is not None
 
 
 def _shift_threshold(rows, u, hi, best):
@@ -283,8 +271,8 @@ def test_05_infeasibility_distance_oracles(rng):
         n = int(rng.integers(1, 3))
         k = int(rng.integers(1, 5))
         G = rng.normal(size=(k, n + 1))
-        val = dist_origin_to_hset(HSet(G))
-        ref = hset_grid_oracle(HSet(G))
+        val = dist_origin_to_hset(G)
+        ref = hset_grid_oracle(G)
         worst_grid = max(worst_grid, abs(val - ref))
 
     worst_rel = 0.0
@@ -294,13 +282,10 @@ def test_05_infeasibility_distance_oracles(rng):
         # only certify thresholds against a full-dimensional boundary
         n = 1 + done % 2
         m = int(rng.integers(n + 2, 5))
-        rows = [(rng.normal(size=n), rng.uniform(-2.0, -0.3)) for _ in range(m)]
-        if lp.solve(lp.LinearProgram.from_rows(np.zeros(n), rows)).status == lp.INFEASIBLE:
+        rows = np.array([np.append(rng.normal(size=n), rng.uniform(-2.0, -0.3)) for _ in range(m)])
+        if lp.solve(lp.LinearProgram(np.zeros(n), rows[:, :-1], rows[:, -1])).status == lp.INFEASIBLE:
             continue
-        d_qp = st.distance_to_infeasibility(
-            tuple(IndexedRow(f"t{i}", a, b) for i, (a, b) in enumerate(rows)),
-            require_slater=False,
-        )
+        d_qp = st.distance_to_infeasibility(rows, require_slater=False)
         if d_qp < 1e-6:
             continue
         found = _bisect_infeasibility(rows, n + 1, hi=4.0 * d_qp + 1.0, rng=rng)
@@ -455,7 +440,7 @@ def test_07_convergence_and_usc(rng):
             cpV = robust_counterpart(rpV)
             res = lp.solve(cpV.to_lp())
             vface = hn.optimal_face_rows(cpV, res.value)
-            verts = enumerate_hrep_vertices(vface, rp.dim)
+            verts = enumerate_hrep_vertices(vface)
             for v in verts:
                 if project_onto_halfspaces(v, face)[1] >= delta:
                     usc_fail += 1
@@ -495,8 +480,8 @@ def test_08_eps_argmin_bound_bulk(rng):
         cpV = robust_counterpart(rpV)
         EU = sd.eps_argmin(cpU, eps)
         EV = sd.eps_argmin(cpV, eps)
-        vu = enumerate_hrep_vertices(EU.rows, n)
-        vv = enumerate_hrep_vertices(EV.rows, n)
+        vu = enumerate_hrep_vertices(EU.rows)
+        vv = enumerate_hrep_vertices(EV.rows)
         if vu and vv:
             d_h = hausdorff(Polytope(np.array(vu)), Polytope(np.array(vv)))
             if rep.measured > d_h + 1e-7:
@@ -531,7 +516,7 @@ def test_09_lp_solver_soundness(rng):
         A = rng.normal(size=(m, n))
         b = rng.normal(size=m)
         c = rng.normal(size=n)
-        res = lp.solve(lp.LinearProgram.from_rows(c, [(A[i], b[i]) for i in range(m)]))
+        res = lp.solve(lp.LinearProgram(c, A, b))
         scale = max(1.0, np.abs(A).max(), np.abs(b).max(), np.abs(c).max())
         if res.status == lp.OPTIMAL:
             x, y = res.solution, res.dual_weights
@@ -552,11 +537,7 @@ def test_09_lp_solver_soundness(rng):
         A = rng.integers(-3, 4, size=(m, n))
         b = rng.integers(-3, 4, size=m)
         c = rng.integers(-3, 4, size=n)
-        res = lp.solve(
-            lp.LinearProgram.from_rows(
-                c.astype(float), [(A[i].astype(float), float(b[i])) for i in range(m)]
-            )
-        )
+        res = lp.solve(lp.LinearProgram(c.astype(float), A.astype(float), b.astype(float)))
         status, value = rational_simplex.solve_status(
             [int(v) for v in c], [([int(x) for x in A[i]], int(b[i])) for i in range(m)]
         )

@@ -231,9 +231,8 @@ class TestBatchedNearestBounds:
             geo.hausdorff(geo.Polytope([[0.0, 0.0]]), geo.Polytope([[0.0, 0.0, 0.0]]))
 
 
-def hset_grid_oracle(H, mu_steps=120, lam_step=0.02):
+def hset_grid_oracle(G, mu_steps=120, lam_step=0.02):
     """Dense (lambda, mu)-grid with local refinement around the incumbent."""
-    G = H.generators
     k = G.shape[0]
     mu_max = 2.0 * (np.max(np.linalg.norm(G, axis=1)) + 1.0)
 
@@ -291,23 +290,23 @@ def hset_grid_oracle(H, mu_steps=120, lam_step=0.02):
 
 class TestHSetDistance:
     def test_single_positive_generator(self):
-        assert geo.dist_origin_to_hset(geo.HSet([[1.0, 0.0]])) == pytest.approx(1.0, abs=1e-9)
+        assert geo.dist_origin_to_hset(np.array([[1.0, 0.0]])) == pytest.approx(1.0, abs=1e-9)
 
     def test_trivial_constraint_generator(self):
         # ray goes down from (0, -1); closest point is at mu = 0
-        assert geo.dist_origin_to_hset(geo.HSet([[0.0, -1.0]])) == pytest.approx(1.0, abs=1e-9)
+        assert geo.dist_origin_to_hset(np.array([[0.0, -1.0]])) == pytest.approx(1.0, abs=1e-9)
 
     def test_origin_inside(self):
-        assert geo.dist_origin_to_hset(geo.HSet([[1.0, 0.0], [-1.0, 0.0]])) == pytest.approx(
+        assert geo.dist_origin_to_hset(np.array([[1.0, 0.0], [-1.0, 0.0]])) == pytest.approx(
             0.0, abs=1e-9
         )
 
     def test_monotone_in_generators(self, rng):
         for _ in range(30):
             G = rng.normal(size=(3, 3))
-            d1 = geo.dist_origin_to_hset(geo.HSet(G))
+            d1 = geo.dist_origin_to_hset(G)
             G2 = np.vstack([G, rng.normal(size=3)])
-            assert geo.dist_origin_to_hset(geo.HSet(G2)) <= d1 + 1e-10
+            assert geo.dist_origin_to_hset(G2) <= d1 + 1e-10
 
     def test_against_grid_oracle(self, rng):
         """<= 4 generators in R^3, some generator with last coord >= 0."""
@@ -316,8 +315,8 @@ class TestHSetDistance:
             G = rng.normal(size=(int(rng.integers(1, 5)), 3))
             if not np.any(G[:, -1] >= 0):
                 continue
-            val = geo.dist_origin_to_hset(geo.HSet(G))
-            ref = hset_grid_oracle(geo.HSet(G))
+            val = geo.dist_origin_to_hset(G)
+            ref = hset_grid_oracle(G)
             assert abs(val - ref) <= 1e-4
             done += 1
 
@@ -405,11 +404,12 @@ def loop_inradius_best(V):
     return max((float(np.linalg.norm(y)) for y in loop_polar_vertices(V)), default=0.0)
 
 
-def loop_hrep_vertices(rows, dim, tol=1e-8):
-    """Vertices of {x : A x >= b}: one solve per dim-subset of rows, skipping
-    subsets of numerical rank < dim; row i is checked at its own scale."""
-    A = np.array([np.asarray(a, dtype=float) for a, _ in rows])
-    b = np.array([float(bb) for _, bb in rows])
+def loop_hrep_vertices(rows, tol=1e-8):
+    """Vertices of {x : A x >= b}, rows = [A | b]: one solve per dim-subset
+    of rows, skipping subsets of numerical rank < dim; row i is checked at
+    its own scale."""
+    A, b = rows[:, :-1], rows[:, -1]
+    dim = A.shape[1]
     scale = np.array([max(1.0, abs(bi), float(np.max(np.abs(ai)))) for ai, bi in zip(A, b)])
     verts = []
     for S in itertools.combinations(range(A.shape[0]), dim):
@@ -451,9 +451,9 @@ class TestBatchedSubsetsMatchLoop:
     def test_inradius_all_singular(self, monkeypatch):
         V = np.array([[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0], [0.0, 0.0]])
         assert loop_inradius_best(V) == 0.0
-        monkeypatch.setattr(
-            geo, "contains_origin_interior", lambda P: (True, 1.0)
-        )
+        # every probe LP reports margin 1, so the origin reads as inside and
+        # only the empty polar vertex list is left to reject it
+        monkeypatch.setattr(geo, "_probe_lp", lambda W, i, s: 1.0)
         with pytest.raises(UnboundedPolarError):
             geo.inradius_at_origin(geo.Polytope(V))
 
@@ -461,36 +461,36 @@ class TestBatchedSubsetsMatchLoop:
         for trial in range(120):
             dim = int(rng.integers(1, 5))
             m = int(rng.integers(1, 9))
-            rows = [(rng.normal(size=dim), float(rng.normal())) for _ in range(m)]
+            rows = np.array([np.append(rng.normal(size=dim), rng.normal()) for _ in range(m)])
             if trial % 2:
-                rows += [(np.eye(dim)[i], -1.0) for i in range(dim)]
-                rows += [(-np.eye(dim)[i], -1.0) for i in range(dim)]
+                lo = np.column_stack([np.eye(dim), -np.ones(dim)])
+                hi = np.column_stack([-np.eye(dim), -np.ones(dim)])
+                rows = np.vstack([rows, lo, hi])
             if trial % 3 == 0:
-                rows += rows[:2]  # duplicate rows
+                rows = np.vstack([rows, rows[:2]])  # duplicate rows
             if trial % 5 == 0:
-                rows = [(np.round(a), round(b)) for a, b in rows]
-            got = geo.enumerate_hrep_vertices(rows, dim)
-            want = loop_hrep_vertices(rows, dim)
+                rows = np.round(rows)
+            got = geo.enumerate_hrep_vertices(rows)
+            want = loop_hrep_vertices(rows)
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
     def test_hrep_fewer_rows_than_dim(self):
-        rows = [([1.0, 0.0, 0.0], 0.0), ([0.0, 1.0, 0.0], 0.0)]
-        assert geo.enumerate_hrep_vertices(rows, 3) == loop_hrep_vertices(rows, 3) == []
+        rows = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        assert geo.enumerate_hrep_vertices(rows) == loop_hrep_vertices(rows) == []
 
     def test_hrep_overflowed_solution(self):
         # the second pivot is 1e-310: the solve overflows to inf, and the
         # candidate is dropped silently, as by the loop
-        rows = [([1.0, 0.0], 0.0), ([1.0, 1e-310], 1.0), ([0.0, 1.0], 0.0)]
+        rows = np.array([[1.0, 0.0, 0.0], [1.0, 1e-310, 1.0], [0.0, 1.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = geo.enumerate_hrep_vertices(rows, 2)
-        want = loop_hrep_vertices(rows, 2)
+            got = geo.enumerate_hrep_vertices(rows)
+        want = loop_hrep_vertices(rows)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
     def test_hrep_all_singular(self):
-        rows = [([1.0, 1.0], 0.0), ([2.0, 2.0], 1.0)]
-        rows += [([-1.0, -1.0], -3.0), ([0.0, 0.0], -1.0)]
-        assert geo.enumerate_hrep_vertices(rows, 2) == loop_hrep_vertices(rows, 2) == []
+        rows = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0], [-1.0, -1.0, -3.0], [0.0, 0.0, -1.0]])
+        assert geo.enumerate_hrep_vertices(rows) == loop_hrep_vertices(rows) == []
 
 
 # Z- of a degenerate benchmark instance (constants-sweep generator, seed 6,
@@ -541,11 +541,10 @@ class TestContainsOriginInterior:
             rows = []
             for j in range(d):
                 row = np.append(W[:, j], -s * (i == j))
-                rows += [(row, 0.0), (-row, 0.0)]
-            rows += [(ones, 1.0), (-ones, -1.0)]
-            rows += [(e, 0.0) for e in np.eye(k, k + 1)]
-            rows.append((cost, -r_cap))
-            res = lp.solve(lp.LinearProgram.from_rows(cost, rows))
+                rows += [row, -row]
+            rows += [ones, -ones, *np.eye(k, k + 1), cost]
+            rhs = [0.0] * (2 * d) + [1.0, -1.0] + [0.0] * k + [-r_cap]
+            res = lp.solve(lp.LinearProgram(cost, np.array(rows), np.array(rhs)))
             assert res.status == lp.OPTIMAL
             assert res.value == pytest.approx(-1.0, abs=1e-12)
 
@@ -582,13 +581,12 @@ class TestContainsOriginInterior:
 def lp_probe(P):
     """The probe as 2n LPs on the polar system, one per direction +/- e_i:
     (inside, margin) with margin the smallest 1 / max{<d, y> : V y <= 1}."""
-    rows = [(-v, -1.0) for v in P.vertices]
     margin = np.inf
     for i in range(P.dim):
         for s in (1.0, -1.0):
             cost = np.zeros(P.dim)
             cost[i] = -s
-            res = lp.solve(lp.LinearProgram.from_rows(cost, rows))
+            res = lp.solve(lp.LinearProgram(cost, -P.vertices, -np.ones(len(P.vertices))))
             if res.status != lp.OPTIMAL or -1.0 / res.value <= 1e-9:
                 return False, 0.0
             margin = min(margin, -1.0 / res.value)
@@ -675,12 +673,12 @@ class TestPolarProbe:
 
 
 class TestHalfspacesAndVertices:
-    UNIT_SQUARE = [
-        ([1.0, 0.0], 0.0),
-        ([-1.0, 0.0], -1.0),
-        ([0.0, 1.0], 0.0),
-        ([0.0, -1.0], -1.0),
-    ]
+    UNIT_SQUARE = np.array([
+        [1.0, 0.0, 0.0],
+        [-1.0, 0.0, -1.0],
+        [0.0, 1.0, 0.0],
+        [0.0, -1.0, -1.0],
+    ])
 
     def test_projection(self):
         q, d = geo.project_onto_halfspaces([2.0, 2.0], self.UNIT_SQUARE)
@@ -692,7 +690,7 @@ class TestHalfspacesAndVertices:
         assert d == 0.0
 
     def test_vertex_enumeration(self):
-        verts = geo.enumerate_hrep_vertices(self.UNIT_SQUARE, 2)
+        verts = geo.enumerate_hrep_vertices(self.UNIT_SQUARE)
         got = sorted(tuple(np.round(v, 9)) for v in verts)
         assert got == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
 
@@ -700,18 +698,18 @@ class TestHalfspacesAndVertices:
         """x >= -6e-8 comes first and meets y >= 0 at a point infeasible for
         x >= 0 by 6e-8.  With one tolerance scaled by the row of 100s that
         point passed and displaced the vertex (0, 0) in the 1e-7 merge."""
-        rows = [([1.0, 0.0], -6e-8)] + self.UNIT_SQUARE + [([100.0, 100.0], -100.0)]
-        verts = geo.enumerate_hrep_vertices(rows, 2)
+        rows = np.vstack([[1.0, 0.0, -6e-8], self.UNIT_SQUARE, [100.0, 100.0, -100.0]])
+        verts = geo.enumerate_hrep_vertices(rows)
         assert sorted(tuple(v) for v in verts) == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-        assert [v.tobytes() for v in verts] == [v.tobytes() for v in loop_hrep_vertices(rows, 2)]
+        assert [v.tobytes() for v in verts] == [v.tobytes() for v in loop_hrep_vertices(rows)]
 
     def test_vertex_enumeration_matches_projection(self, rng):
         """Distances to an H-polytope agree whether computed via Dykstra or
         via projection onto the enumerated-vertex hull."""
         for _ in range(10):
             c = rng.normal(size=2)
-            rows = self.UNIT_SQUARE + [(c, float(c @ [0.5, 0.5] - 0.3))]
-            verts = geo.enumerate_hrep_vertices(rows, 2)
+            rows = np.vstack([self.UNIT_SQUARE, np.append(c, c @ [0.5, 0.5] - 0.3)])
+            verts = geo.enumerate_hrep_vertices(rows)
             if len(verts) < 3:
                 continue
             hull = geo.Polytope(np.array(verts))
@@ -730,8 +728,8 @@ class TestPolytopeBasics:
 def hrep_vertices(F):
     """Vertices of {x : N (x - c) <= off} by enumerate_hrep_vertices."""
     d = len(F.center)
-    rows = [(-n, -(o + n @ F.center)) for n, o in zip(F.normals, F.offsets)]
-    return np.array(geo.enumerate_hrep_vertices(rows, d)).reshape(-1, d)
+    rows = np.array([np.append(-n, -(o + n @ F.center)) for n, o in zip(F.normals, F.offsets)])
+    return np.array(geo.enumerate_hrep_vertices(rows)).reshape(-1, d)
 
 
 def cross_polytope(d):

@@ -288,6 +288,16 @@ class TestCli:
         assert code1 == code2 == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "out, error",
+        [("missing/r.json", "FileNotFoundError"), (".", "IsADirectoryError")],
+    )
+    def test_unwritable_out_prints_only_the_error(self, tmp_path, capsys, out, error):
+        code = hn.cli(["solve", self.problem_file(tmp_path), "--out", str(tmp_path / out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+
     def test_perturb_csv(self, tmp_path, capsys):
         cfg = toy_config(tmp_path)
         out = tmp_path / "r.csv"

@@ -8,18 +8,20 @@ import rational_simplex
 
 
 def _lp(cost, rows):
-    return lp.LinearProgram.from_rows(cost, rows)
+    """min <cost, x> s.t. <a, x> >= b for each stacked row [a | b] of rows."""
+    rows = np.array(rows, dtype=float).reshape(len(rows), len(cost) + 1)
+    return lp.LinearProgram(np.array(cost, dtype=float), rows[:, :-1], rows[:, -1])
 
 
 class TestSolve:
     def test_simple_optimal(self):
-        res = lp.solve(_lp([1.0], [([1.0], 1.0)]))
+        res = lp.solve(_lp([1.0], [[1.0, 1.0]]))
         assert res.status == lp.OPTIMAL
         assert res.value == pytest.approx(1.0, abs=1e-12)
         assert res.solution == pytest.approx([1.0], abs=1e-12)
 
     def test_infeasible(self):
-        res = lp.solve(_lp([1.0], [([-1.0], 0.0), ([1.0], 1.0)]))
+        res = lp.solve(_lp([1.0], [[-1.0, 0.0], [1.0, 1.0]]))
         assert res.status == lp.INFEASIBLE
         assert res.value == np.inf
         # Farkas: w >= 0, A'w = 0, b'w > 0
@@ -31,7 +33,7 @@ class TestSolve:
         assert b @ w > 1e-9
 
     def test_unbounded(self):
-        res = lp.solve(_lp([-1.0], [([1.0], 0.0)]))
+        res = lp.solve(_lp([-1.0], [[1.0, 0.0]]))
         assert res.status == lp.UNBOUNDED
         assert res.value == -np.inf
 
@@ -49,7 +51,7 @@ class TestSolve:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            _lp([1.0, 2.0], [([1.0], 0.0)])
+            lp.LinearProgram(np.array([1.0, 2.0]), np.array([[1.0]]), np.array([0.0]))
 
     def test_certificates_random(self, rng):
         """Weak duality and Farkas residuals on random dense LPs."""
@@ -59,7 +61,7 @@ class TestSolve:
             A = rng.normal(size=(m, n))
             b = rng.normal(size=m)
             c = rng.normal(size=n)
-            res = lp.solve(_lp(c, [(A[i], b[i]) for i in range(m)]))
+            res = lp.solve(lp.LinearProgram(c, A, b))
             if res.status == lp.OPTIMAL:
                 x, y = res.solution, res.dual_weights
                 assert float(np.max(b - A @ x, initial=0.0)) <= 1e-8
@@ -81,7 +83,7 @@ class TestSolve:
             A = rng.normal(size=(m, n))
             b = rng.normal(size=m)
             c = rng.normal(size=n)
-            prob = _lp(c, [(A[i], b[i]) for i in range(m)])
+            prob = lp.LinearProgram(c, A, b)
             r1, r2 = lp.solve(prob), lp.solve(prob)
             assert r1.status == r2.status
             assert r1.value == r2.value
@@ -102,7 +104,7 @@ class TestCertificates:
             a = rng.normal(size=n)
             A = np.vstack([a, -a, rng.normal(size=(int(rng.integers(1, 6)), n))])
             b = np.concatenate([[1.0, 0.0], rng.normal(size=A.shape[0] - 2)])
-            res = lp.solve(_lp(rng.normal(size=n), list(zip(A, b))))
+            res = lp.solve(lp.LinearProgram(rng.normal(size=n), A, b))
             assert res.status == lp.INFEASIBLE
             w = res.dual_weights
             assert np.all(w >= 0)
@@ -126,7 +128,7 @@ class TestCertificates:
             b = -rng.uniform(0.0, 3.0, size=A.shape[0])
             c = rng.normal(size=n)
             phases.clear()
-            res = lp.solve(_lp(c, list(zip(A, b))))
+            res = lp.solve(lp.LinearProgram(c, A, b))
             assert phases == [2]
             assert res.status == lp.OPTIMAL
             x, w = res.solution, res.dual_weights
@@ -143,8 +145,7 @@ class TestCertificates:
             A = rng.integers(-3, 4, size=(m, n))
             b = rng.integers(-3, 1, size=m)
             c = rng.integers(-3, 4, size=n)
-            rows = list(zip(A.astype(float), b.astype(float)))
-            res = lp.solve(_lp(c.astype(float), rows))
+            res = lp.solve(lp.LinearProgram(c.astype(float), A.astype(float), b.astype(float)))
             status, value = rational_simplex.solve_status(
                 c.tolist(), list(zip(A.tolist(), b.tolist()))
             )
@@ -157,7 +158,7 @@ class TestCertificates:
         # which must leave the basis before phase 2
         A = np.array([[1.0], [1.0], [-1.0]])
         b = np.array([1.0, 1.0, -1.0])
-        res = lp.solve(_lp([1.0], list(zip(A, b))))
+        res = lp.solve(lp.LinearProgram(np.array([1.0]), A, b))
         assert res.status == lp.OPTIMAL
         assert res.value == 1.0 and res.solution.tolist() == [1.0]
         w = res.dual_weights
@@ -178,14 +179,14 @@ class TestCertificates:
             return enter
 
         self._corrupt_loop(monkeypatch, shift_basic_values)
-        prob = _lp([1.0, 1.0], [([1.0, 0.0], -1.0), ([0.0, 1.0], -1.0)])
+        prob = _lp([1.0, 1.0], [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
         with pytest.raises(NumericalBreakdownError):
             lp.solve(prob)
 
     def test_self_check_rejects_bad_ray(self, monkeypatch):
         # claim that the first column prices out with no blocking row
         self._corrupt_loop(monkeypatch, lambda T, enter: 0)
-        prob = _lp([-1.0], [([-1.0], -1.0)])  # min -x s.t. x <= 1
+        prob = _lp([-1.0], [[-1.0, -1.0]])  # min -x s.t. x <= 1
         with pytest.raises(NumericalBreakdownError):
             lp.solve(prob)
 
@@ -239,11 +240,11 @@ class TestStart:
         "cost, rows, start",
         [
             # stale dual: y = -1e-8 for row 0, inside the checks' 1e-7 noise
-            ([-1e-8], [([1.0], 0.0), ([-1.0], -1.0)], [0]),
+            ([-1e-8], [[1.0, 0.0], [-1.0, -1.0]], [0]),
             # stale primal: row 1's slack is -1e-8, inside the checks' noise
-            ([1.0], [([1.0], 0.0), ([1.0], 1e-8)], [0]),
+            ([1.0], [[1.0, 0.0], [1.0, 1e-8]], [0]),
             # far from optimal
-            ([1.0, 1.0], [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0), ([-1.0, -1.0], -4.0)], [0, 2]),
+            ([1.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, -4.0]], [0, 2]),
         ],
     )
     def test_stale_start_gives_cold_result(self, cost, rows, start, pivots):
@@ -261,14 +262,14 @@ class TestStart:
     )
     def test_bad_start_falls_back(self, start):
         # rows 0 and 1 are parallel, so {0, 1} is singular
-        rows = [([1.0, 0.0], 0.0), ([2.0, 0.0], -1.0), ([0.0, 1.0], 0.0)]
+        rows = [[1.0, 0.0, 0.0], [2.0, 0.0, -1.0], [0.0, 1.0, 0.0]]
         prob = _lp([1.0, 1.0], rows)
         _same(lp.solve(prob, start=start), lp.solve(prob))
 
     def test_failed_check_falls_back(self, monkeypatch, pivots):
         # the checks behind the sign tests fail only under gross rounding, so
         # stand in a failing first check: the start must give way to the simplex
-        prob = _lp([1.0, 1.0], [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0), ([-1.0, -1.0], -4.0)])
+        prob = _lp([1.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, -4.0]])
         cold = lp.solve(prob)
         verdicts = iter(["dual"])
         real_check = lp._failed_check
@@ -284,12 +285,12 @@ class TestStart:
             _same(lp.solve(_lp(cost, []), start=[0, 1]), lp.solve(_lp(cost, [])))
 
     def test_infeasible_and_unbounded_keep_certificates(self):
-        infeasible = _lp([1.0], [([1.0], 1.0), ([-1.0], 0.0)])
+        infeasible = _lp([1.0], [[1.0, 1.0], [-1.0, 0.0]])
         res = lp.solve(infeasible, start=[0])
         assert res.status == lp.INFEASIBLE
         _same(res, lp.solve(infeasible))
         assert res.dual_weights @ infeasible.rhs > 0
-        unbounded = _lp([-1.0, 0.0], [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0)])
+        unbounded = _lp([-1.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         res = lp.solve(unbounded, start=[0, 1])
         assert res.status == lp.UNBOUNDED
         _same(res, lp.solve(unbounded))
@@ -298,7 +299,7 @@ class TestStart:
         # three rows tie at the optimum x = 0; c is parallel to row 2, so the
         # duals may be positive on fewer than n rows, but every pair of the
         # three is an optimal basis
-        rows = [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0), ([1.0, 1.0], 0.0), ([-1.0, -1.0], -3.0)]
+        rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [-1.0, -1.0, -3.0]]
         prob = _lp([1.0, 1.0], rows)
         cold = lp.solve(prob)
         assert cold.status == lp.OPTIMAL and cold.active.size == 2
@@ -311,7 +312,7 @@ class TestStart:
             assert (warm.dual_weights > 0).sum() <= 2
         assert pivots[0] == 0
         # a perturbed copy, where only some of the tied bases stay optimal
-        moved = _lp([1.0, 1.0], [([1.0, 1e-3], 0.0), *rows[1:]])
+        moved = _lp([1.0, 1.0], [[1.0, 1e-3, 0.0], *rows[1:]])
         _same_value = lp.solve(moved, start=cold.active)
         assert _same_value.status == lp.OPTIMAL
         assert _same_value.value == pytest.approx(lp.solve(moved).value, abs=1e-15)
@@ -345,22 +346,22 @@ class TestStart:
 
 class TestSlater:
     def test_interval(self):
-        cert = lp.slater_constant([([1.0], 0.0), ([-1.0], -2.0)])
+        cert = lp.slater_constant(np.array([[1.0, 0.0], [-1.0, -2.0]]))
         assert cert.rho == pytest.approx(1.0, abs=1e-9)
         assert cert.point == pytest.approx([1.0], abs=1e-8)
         assert not cert.capped
 
     def test_no_slack(self):
-        assert lp.slater_constant([([1.0], 0.0), ([-1.0], 0.0)]) is None
+        assert lp.slater_constant(np.array([[1.0, 0.0], [-1.0, 0.0]])) is None
 
     def test_constant_row_bounds_slack(self):
         # <0, x> >= -1 has fixed slack 1 for every x, so rho* = 1
-        cert = lp.slater_constant([([0.0], -1.0)])
+        cert = lp.slater_constant(np.array([[0.0, -1.0]]))
         assert cert.rho == pytest.approx(1.0, abs=1e-9)
         assert not cert.capped
 
     def test_unbounded_slack_is_capped(self):
-        cert = lp.slater_constant([([1.0], 0.0)])
+        cert = lp.slater_constant(np.array([[1.0, 0.0]]))
         assert cert.capped
         assert cert.rho == pytest.approx(1e6, rel=1e-6)
 
@@ -368,18 +369,18 @@ class TestSlater:
         for _ in range(30):
             n = int(rng.integers(1, 4))
             m = int(rng.integers(1, 6))
-            rows = [(rng.normal(size=n), rng.uniform(-2, 0)) for _ in range(m)]
+            rows = np.array([np.append(rng.normal(size=n), rng.uniform(-2, 0)) for _ in range(m)])
             cert = lp.slater_constant(rows)
             if cert is None:
                 continue
             # adding a row never increases rho*
-            more = rows + [(rng.normal(size=n), rng.uniform(-2, 0))]
+            more = np.vstack([rows, np.append(rng.normal(size=n), rng.uniform(-2, 0))])
             cert2 = lp.slater_constant(more)
             rho2 = cert2.rho if cert2 is not None else 0.0
             assert rho2 <= cert.rho + 1e-8
             # scaling rows by s scales rho* by s (away from the cap)
             if not cert.capped:
                 s = float(rng.uniform(0.5, 2.0))
-                scaled = [(s * a, s * b) for a, b in rows]
+                scaled = s * rows
                 cert3 = lp.slater_constant(scaled)
                 assert cert3.rho == pytest.approx(s * cert.rho, abs=1e-7)

@@ -3,17 +3,44 @@ import pytest
 
 from robust_stability import lp
 from robust_stability import model as md
-from robust_stability.errors import IndexMismatchError
+from robust_stability.errors import DimensionMismatchError, IndexMismatchError
 from robust_stability.geometry import Polytope, hausdorff
 
 from conftest import random_feasible_instance, shifted_instance
 
 
 def two_unit_rows():
-    return (
-        md.IndexedRow("t1", [1.0, 0.0], 0.0),
-        md.IndexedRow("t2", [0.0, 1.0], 0.0),
-    )
+    return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def system(rows, labels=("t1", "t2"), cost=(0.0, 0.0)):
+    return md.LsioProblem(cost=cost, rows=rows, labels=labels)
+
+
+class TestLsioProblem:
+    def test_rows_and_labels(self):
+        p = system(two_unit_rows(), cost=[1.0, 0.0])
+        assert p.rows.shape == (2, 3) and p.labels == ("t1", "t2") and p.dim == 2
+        lp_ = p.to_lp()
+        assert lp_.a_matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert lp_.rhs.tolist() == [0.0, 0.0]
+
+    def test_rejects_label_count_mismatch(self):
+        with pytest.raises(ValueError, match="labels"):
+            system(two_unit_rows(), ("t1",))
+        with pytest.raises(ValueError, match="labels"):
+            system(two_unit_rows(), ("t1", "t2", "t3"))
+
+    def test_rejects_duplicate_labels(self):
+        with pytest.raises(ValueError, match="unique"):
+            system(two_unit_rows(), ("t1", "t1"))
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_rejects_width_other_than_n_plus_1(self, width):
+        with pytest.raises(DimensionMismatchError):
+            system(np.zeros((2, width)))
+        with pytest.raises(DimensionMismatchError):
+            system(np.zeros(width), ("t1",))  # one row, not stacked
 
 
 class TestRobustCounterpart:
@@ -22,8 +49,8 @@ class TestRobustCounterpart:
             constraint_sets={"u": Polytope([[1.0, 1.0], [2.0, 1.0]])}, cost=[1.0]
         )
         cp = md.robust_counterpart(rp)
-        got = sorted((tuple(r.a), r.b) for r in cp.rows)
-        assert got == [((1.0,), 1.0), ((2.0,), 1.0)]
+        assert sorted(map(tuple, cp.rows.tolist())) == [(1.0, 1.0), (2.0, 1.0)]
+        assert cp.labels == ("u#0", "u#1")
         assert lp.solve(cp.to_lp()).value == pytest.approx(1.0, abs=1e-10)
 
     def test_singleton_is_nominal(self):
@@ -31,9 +58,9 @@ class TestRobustCounterpart:
             constraint_sets={"u": Polytope([[3.0, 2.0, -1.0]])}, cost=[1.0, 1.0]
         )
         cp = md.robust_counterpart(rp)
-        assert len(cp.rows) == 1
-        assert cp.rows[0].a == pytest.approx([3.0, 2.0])
-        assert cp.rows[0].b == -1.0
+        assert cp.rows.shape == (1, 3)
+        assert cp.rows[0, :-1] == pytest.approx([3.0, 2.0])
+        assert cp.rows[0, -1] == -1.0
 
     def test_two_singletons(self):
         rp = md.RobustProblem(
@@ -43,8 +70,8 @@ class TestRobustCounterpart:
             },
             cost=[1.0],
         )
-        got = sorted((tuple(r.a), r.b) for r in md.robust_counterpart(rp).rows)
-        assert got == [((-1.0,), -2.0), ((1.0,), 0.0)]
+        got = sorted(map(tuple, md.robust_counterpart(rp).rows.tolist()))
+        assert got == [(-1.0, -2.0), (1.0, 0.0)]
 
     def test_feasibility_equivalence(self, rng):
         """Membership in the counterpart equals worst-case vertex satisfaction."""
@@ -58,7 +85,7 @@ class TestRobustCounterpart:
         cp = md.robust_counterpart(rp)
         for _ in range(1000):
             x = rng.normal(size=2) * 2
-            in_cp = all(r.a @ x >= r.b for r in cp.rows)
+            in_cp = all(r[:-1] @ x >= r[-1] for r in cp.rows)
             in_rp = all(
                 min(v[:-1] @ x - v[-1] for v in U.vertices) >= 0
                 for U in rp.constraint_sets.values()
@@ -150,34 +177,30 @@ class TestEpigraphReform:
 
 class TestDeltaSigma:
     def test_identical(self):
-        s = two_unit_rows()
+        s = system(two_unit_rows())
         assert md.delta_sigma(s, s) == 0.0
 
     def test_matched_indexing(self):
-        s1 = two_unit_rows()
-        s2 = two_unit_rows()
+        s1 = system(two_unit_rows())
+        s2 = system(two_unit_rows())
         assert md.delta_sigma(s1, s2) == 0.0
 
     def test_swapped_indexing(self):
-        s1 = two_unit_rows()
-        s2 = (
-            md.IndexedRow("t1", [0.0, 1.0], 0.0),
-            md.IndexedRow("t2", [1.0, 0.0], 0.0),
-        )
+        s1 = system(two_unit_rows())
+        s2 = system(two_unit_rows()[::-1])
         assert md.delta_sigma(s1, s2) == pytest.approx(np.sqrt(2), abs=1e-12)
 
     def test_index_mismatch(self):
         with pytest.raises(IndexMismatchError):
-            md.delta_sigma(two_unit_rows(), two_unit_rows()[:1])
+            md.delta_sigma(system(two_unit_rows()), system(two_unit_rows()[:1], ("t1",)))
 
     def test_metric(self, rng):
         labels = ["a", "b", "c"]
-        def system():
-            return tuple(
-                md.IndexedRow(l, rng.normal(size=2), rng.normal()) for l in labels
-            )
+        def random_system():
+            rows = np.array([np.append(rng.normal(size=2), rng.normal()) for l in labels])
+            return system(rows, labels)
         for _ in range(30):
-            s1, s2, s3 = system(), system(), system()
+            s1, s2, s3 = random_system(), random_system(), random_system()
             assert md.delta_sigma(s1, s2) == md.delta_sigma(s2, s1)
             assert md.delta_sigma(s1, s3) <= (
                 md.delta_sigma(s1, s2) + md.delta_sigma(s2, s3) + 1e-9
@@ -186,23 +209,17 @@ class TestDeltaSigma:
 
 class TestDeltaPi:
     def test_identical(self):
-        p = md.LsioProblem(cost=[1.0, 0.0], rows=two_unit_rows())
+        p = system(two_unit_rows(), cost=[1.0, 0.0])
         assert md.delta_pi(p, p) == 0.0
 
     def test_cost_dominates(self):
-        p1 = md.LsioProblem(cost=[1.0, 0.0], rows=two_unit_rows())
-        p2 = md.LsioProblem(cost=[0.0, 1.0], rows=two_unit_rows())
+        p1 = system(two_unit_rows(), cost=[1.0, 0.0])
+        p2 = system(two_unit_rows(), cost=[0.0, 1.0])
         assert md.delta_pi(p1, p2) == pytest.approx(np.sqrt(2), abs=1e-12)
 
     def test_swapped_system_equal_costs(self):
-        p1 = md.LsioProblem(cost=[1.0, 1.0], rows=two_unit_rows())
-        p2 = md.LsioProblem(
-            cost=[1.0, 1.0],
-            rows=(
-                md.IndexedRow("t1", [0.0, 1.0], 0.0),
-                md.IndexedRow("t2", [1.0, 0.0], 0.0),
-            ),
-        )
+        p1 = system(two_unit_rows(), cost=[1.0, 1.0])
+        p2 = system(two_unit_rows()[::-1], cost=[1.0, 1.0])
         assert md.delta_pi(p1, p2) == pytest.approx(np.sqrt(2), abs=1e-12)
 
 
@@ -333,43 +350,31 @@ class TestConstraintwiseDistanceMatchesFullScan:
 
 class TestPiEquivalent:
     def test_permuted_duplicate(self):
-        p1 = md.LsioProblem(cost=[1.0, 0.0], rows=two_unit_rows())
-        p2 = md.LsioProblem(
-            cost=[1.0, 0.0],
-            rows=(
-                md.IndexedRow("x", [0.0, 1.0], 0.0),
-                md.IndexedRow("y", [1.0, 0.0], 0.0),
-                md.IndexedRow("z", [1.0, 0.0], 0.0),
-            ),
-        )
+        p1 = system(two_unit_rows(), cost=[1.0, 0.0])
+        p2 = system(two_unit_rows()[[1, 0, 0]], ("x", "y", "z"), cost=[1.0, 0.0])
         assert md.pi_equivalent(p1, p2)
 
     def test_extra_trivial_row_breaks_it(self):
-        p1 = md.LsioProblem(cost=[1.0, 0.0], rows=two_unit_rows())
-        p2 = md.LsioProblem(
+        p1 = system(two_unit_rows(), cost=[1.0, 0.0])
+        p2 = system(
+            np.vstack([two_unit_rows(), [0.0, 0.0, -1.0]]),
+            ("t1", "t2", "triv"),
             cost=[1.0, 0.0],
-            rows=two_unit_rows() + (md.IndexedRow("triv", [0.0, 0.0], -1.0),),
         )
         assert not md.pi_equivalent(p1, p2)
 
     def test_different_costs(self):
-        p1 = md.LsioProblem(cost=[1.0, 0.0], rows=two_unit_rows())
-        p2 = md.LsioProblem(cost=[0.0, 1.0], rows=two_unit_rows())
+        p1 = system(two_unit_rows(), cost=[1.0, 0.0])
+        p2 = system(two_unit_rows(), cost=[0.0, 1.0])
         assert not md.pi_equivalent(p1, p2)
 
     def test_equivalent_problems_share_value(self, rng):
         for _ in range(10):
-            rows = tuple(
-                md.IndexedRow(f"r{i}", rng.normal(size=2), rng.uniform(-2, 0))
-                for i in range(4)
-            )
+            rows = np.array([np.append(rng.normal(size=2), rng.uniform(-2, 0)) for i in range(4)])
             cost = rng.normal(size=2)
-            perm = tuple(
-                md.IndexedRow(f"p{i}", rows[j].a, rows[j].b)
-                for i, j in enumerate(rng.permutation(4))
-            ) + (md.IndexedRow("dup", rows[0].a, rows[0].b),)
-            p1 = md.LsioProblem(cost=cost, rows=rows)
-            p2 = md.LsioProblem(cost=cost, rows=perm)
+            perm = np.vstack([rows[rng.permutation(4)], rows[:1]])
+            p1 = system(rows, [f"r{i}" for i in range(4)], cost=cost)
+            p2 = system(perm, [f"p{i}" for i in range(4)] + ["dup"], cost=cost)
             assert md.pi_equivalent(p1, p2)
             v1 = lp.solve(p1.to_lp())
             v2 = lp.solve(p2.to_lp())

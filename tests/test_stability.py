@@ -12,19 +12,20 @@ from robust_stability.errors import (
     SlaterFailedError,
 )
 from robust_stability.geometry import Polytope, dist_origin_to_hset
-from robust_stability.model import IndexedRow, LsioProblem, RobustProblem, robust_counterpart
+from robust_stability.model import LsioProblem, RobustProblem, robust_counterpart
 from robust_stability.setdist import check_eps_argmin_lipschitz
 
 from conftest import random_feasible_instance, shifted_instance
 
 
-def rows_of(*pairs):
-    return tuple(IndexedRow(f"t{i}", a, b) for i, (a, b) in enumerate(pairs))
+def problem(cost, rows):
+    """The LSIO problem of the stacked rows [a | b], labelled t0, t1, ..."""
+    return LsioProblem(cost, rows, [f"t{i}" for i in range(len(rows))])
 
 
 def interval_problem():
     # x in [1, 2], minimize x
-    return LsioProblem(cost=[1.0], rows=rows_of(([1.0], 1.0), ([-1.0], -2.0)))
+    return problem([1.0], [[1.0, 1.0], [-1.0, -2.0]])
 
 
 class TestBuildingBlocks:
@@ -33,19 +34,18 @@ class TestBuildingBlocks:
         assert st.psi(1.0) == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-12)
         assert st.psi(3.0) == pytest.approx(4.0 * np.sqrt(10.0), abs=1e-12)
 
-    def test_build_H_generators(self):
+    def test_H_generators_are_the_rows(self):
         # H = conv{(1,0,0),(0,1,0)} minus the downward b-ray; nearest point
         # to the origin is the segment midpoint (1/2, 1/2, 0).
-        H = st.build_H(rows_of(([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0)))
-        assert H.generators.shape == (2, 3)
-        assert dist_origin_to_hset(H) == pytest.approx(np.sqrt(0.5), abs=1e-6)
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert dist_origin_to_hset(rows) == pytest.approx(np.sqrt(0.5), abs=1e-6)
 
     def test_dist_to_infeasibility_examples(self):
         # single row <1, x> >= 1: H = {(1,1)} - ray, nearest point (1,1) or below
-        d = st.distance_to_infeasibility(rows_of(([1.0], 1.0)))
+        d = st.distance_to_infeasibility(np.array([[1.0, 1.0]]))
         assert d == pytest.approx(1.0, abs=1e-8)
         # ([1], -1): generator (1,-1), ray only pushes b further down
-        d2 = st.distance_to_infeasibility(rows_of(([1.0], -1.0)))
+        d2 = st.distance_to_infeasibility(np.array([[1.0, -1.0]]))
         assert d2 == pytest.approx(np.sqrt(2.0), abs=1e-8)
         # interval [1,2]: min-norm point of conv{(1,1),(-1,-2)} - ray is at
         # lambda = 8/13 with squared norm 1/13
@@ -53,25 +53,21 @@ class TestBuildingBlocks:
         assert d3 == pytest.approx(1.0 / np.sqrt(13.0), abs=1e-8)
 
     def test_dist_to_infeasibility_slater_required(self):
+        rows = np.array([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(SlaterFailedError):
-            st.distance_to_infeasibility(rows_of(([1.0], 0.0), ([-1.0], 0.0)))
+            st.distance_to_infeasibility(rows)
         # same data is accepted when the caller vouches for it
         # H contains the origin here (no Slater slack), so the distance is 0
-        d = st.distance_to_infeasibility(
-            rows_of(([1.0], 0.0), ([-1.0], 0.0)), require_slater=False
-        )
+        d = st.distance_to_infeasibility(rows, require_slater=False)
         assert d == pytest.approx(0.0, abs=1e-8)
 
     def test_dist_to_infeasibility_scaling(self, rng):
         for _ in range(10):
             n = int(rng.integers(1, 4))
-            rows = rows_of(
-                *[(rng.normal(size=n), rng.uniform(-2, -0.3)) for _ in range(3)]
-            )
+            rows = np.array([np.append(rng.normal(size=n), rng.uniform(-2, -0.3)) for _ in range(3)])
             d = st.distance_to_infeasibility(rows, require_slater=False)
             s = float(rng.uniform(0.5, 2.0))
-            scaled = rows_of(*[(s * r.a, s * r.b) for r in rows])
-            d2 = st.distance_to_infeasibility(scaled, require_slater=False)
+            d2 = st.distance_to_infeasibility(s * rows, require_slater=False)
             assert d2 == pytest.approx(s * d, abs=1e-7)
 
     def test_sup_R(self):
@@ -97,19 +93,17 @@ class TestInteriorSolvable:
         assert r.bounded_face
 
     def test_no_slater(self):
-        pi = LsioProblem(cost=[1.0], rows=rows_of(([1.0], 0.0), ([-1.0], 0.0)))
+        pi = problem([1.0], [[1.0, 0.0], [-1.0, 0.0]])
         r = st.check_interior_solvable(pi)
         assert not r.ok and "Slater" in r.failing
 
     def test_unbounded_value(self):
-        pi = LsioProblem(cost=[-1.0], rows=rows_of(([1.0], 0.0)))
+        pi = problem([-1.0], [[1.0, 0.0]])
         r = st.check_interior_solvable(pi)
         assert not r.ok and "solvability" in r.failing
 
     def test_unbounded_optimal_face(self):
-        pi = LsioProblem(
-            cost=[1.0, 0.0], rows=rows_of(([1.0, 0.0], 1.0), ([0.0, 1.0], -1.0))
-        )
+        pi = problem([1.0, 0.0], [[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
         r = st.check_interior_solvable(pi)
         assert not r.ok and "bounded optimal face" in r.failing
 
@@ -120,7 +114,7 @@ class TestInteriorSolvable:
         )
 
     def test_dist_bd_solvable_rejects(self):
-        pi = LsioProblem(cost=[-1.0], rows=rows_of(([1.0], 0.0)))
+        pi = problem([-1.0], [[1.0, 0.0]])
         with pytest.raises(NotInteriorSolvableError):
             st.distance_to_bd_solvable(pi)
 
@@ -130,11 +124,11 @@ def recession_face_bounded(pi):
     recession cone {d : A d >= 0, <c, d> = 0} of the optimal face is {0};
     2n LPs maximize +/- d_i over that cone cut by the unit box."""
     n = pi.dim
-    rows = [(r.a, 0.0) for r in pi.rows] + [(pi.cost, 0.0), (-pi.cost, 0.0)]
-    rows += [(s * e, -1.0) for e in np.eye(n) for s in (1.0, -1.0)]
+    A = np.vstack([pi.rows[:, :-1], pi.cost, -pi.cost, np.kron(np.eye(n), [[1.0], [-1.0]])])
+    b = np.concatenate([np.zeros(len(pi.rows) + 2), -np.ones(2 * n)])
     for e in np.eye(n):
         for s in (1.0, -1.0):
-            res = lp.solve(lp.LinearProgram.from_rows(-s * e, rows))
+            res = lp.solve(lp.LinearProgram(-s * e, A, b))
             assert res.status == lp.OPTIMAL
             if -res.value > 1e-7:
                 return False
@@ -145,18 +139,16 @@ class TestBoundedFace:
     """check_interior_solvable's bounded-face verdict: origin strictly inside Z-."""
 
     def test_point_optimum(self):
-        pi = LsioProblem(cost=[1.0], rows=rows_of(([1.0], 1.0)))
+        pi = problem([1.0], [[1.0, 1.0]])
         assert st.check_interior_solvable(pi).bounded_face
 
     def test_line_optimum(self):
-        pi = LsioProblem(cost=[1.0, 0.0], rows=rows_of(([1.0, 0.0], 0.0)))
+        pi = problem([1.0, 0.0], [[1.0, 0.0, 0.0]])
         r = st.check_interior_solvable(pi)
         assert not r.bounded_face and "Z-" in r.failing
 
     def test_corner_optimum(self):
-        pi = LsioProblem(
-            cost=[1.0, 1.0], rows=rows_of(([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0))
-        )
+        pi = problem([1.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         assert st.check_interior_solvable(pi).bounded_face
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -169,20 +161,19 @@ class TestBoundedFace:
         for trial in range(60):
             pi = robust_counterpart(random_feasible_instance(rng, n=n))
             mode = trial % 3
-            rows, cost = pi.rows, pi.cost
+            rows, labels, cost = pi.rows, pi.labels, pi.cost
+            keep = np.ones(len(rows), dtype=bool)
             if mode == 1:
-                drop = rows[int(rng.integers(len(rows) - 2 * n, len(rows)))]
-                rows = tuple(r for r in rows if r is not drop)
-                cost = np.where(drop.a != 0.0, 0.0, cost)
+                drop = int(rng.integers(len(rows) - 2 * n, len(rows)))
+                keep[drop] = False
+                cost = np.where(rows[drop, :-1] != 0.0, 0.0, cost)
             if mode == 2:
                 free = np.arange(n) == int(rng.integers(n))
-                rows = tuple(
-                    IndexedRow(r.label, np.where(free, 0.0, r.a), r.b)
-                    for r in rows
-                    if not (r.label.startswith(("lo", "hi")) and r.a[free].any())
-                )
+                box = np.array([label.startswith(("lo", "hi")) for label in labels])
+                keep = ~(box & rows[:, :-1][:, free].any(axis=1))
+                rows = np.where(np.append(free, False), 0.0, rows)
                 cost = np.where(free, 0.0, cost)
-            pi = LsioProblem(cost=cost, rows=rows)
+            pi = LsioProblem(cost, rows[keep], [l for l, k in zip(labels, keep) if k])
             r = st.check_interior_solvable(pi)
             assert r.slater is not None and r.solve_result.status == lp.OPTIMAL
             assert r.bounded_face == recession_face_bounded(pi), trial
@@ -199,7 +190,7 @@ def straight_line_constants(pi, nu, eps):
     from robust_stability.geometry import inradius_at_origin
 
     d_z = inradius_at_origin(st.build_Zminus(pi)).value
-    s_r = max(max(-r.b for r in pi.rows), nu)
+    s_r = max(max(-b for b in pi.rows[:, -1]), nu)
     rho_hat = s_r / d_z
 
     def psi(a):
@@ -242,10 +233,9 @@ class TestLipschitzConstant:
         assert all(a < b for a, b in zip(ls, ls[1:]))
 
     def test_cost_norm_monotone(self):
-        rows = rows_of(([1.0], 1.0), ([-1.0], -2.0))
         prev = None
         for s in (0.5, 1.0, 2.0, 4.0):
-            pi = LsioProblem(cost=[s], rows=rows)
+            pi = problem([s], [[1.0, 1.0], [-1.0, -2.0]])
             nu = lp.solve(pi.to_lp()).value
             c = st.lipschitz_constant(pi, nu=nu, eps=0.25)
             if prev is not None:
@@ -259,12 +249,8 @@ class TestLipschitzConstant:
             pi = checker.augmented
             base = st.lipschitz_constant(pi, eps=checker.constants.epsilon)
             perm = rng.permutation(len(pi.rows))
-            rows2 = tuple(
-                IndexedRow(f"q{i}", pi.rows[j].a, pi.rows[j].b)
-                for i, j in enumerate(perm)
-            )
-            rows2 = rows2 + (IndexedRow("dup", rows2[0].a, rows2[0].b),)
-            pi2 = LsioProblem(cost=pi.cost, rows=rows2)
+            rows2 = np.vstack([pi.rows[perm], pi.rows[perm[:1]]])
+            pi2 = LsioProblem(pi.cost, rows2, [f"q{i}" for i in range(len(perm))] + ["dup"])
             other = st.lipschitz_constant(pi2, eps=checker.constants.epsilon)
             for k, v in base.to_dict().items():
                 assert other.to_dict()[k] == v, k  # bit-exact
@@ -273,16 +259,14 @@ class TestLipschitzConstant:
         # n = 6 box |x_i| <= 1, c = 1: Z- = conv{+/- e_i, -c} keeps the
         # cross-polytope's facet sum(x) = 1, so d_z = 1 / sqrt(6) exactly,
         # which the lower bound margin / sqrt(6) meets
-        box = [(s * e, -1.0) for e in np.eye(6) for s in (1.0, -1.0)]
-        pi = LsioProblem(cost=np.ones(6), rows=rows_of(*box))
+        box = [np.append(s * e, -1.0) for e in np.eye(6) for s in (1.0, -1.0)]
+        pi = problem(np.ones(6), box)
         assert st.lipschitz_constant(pi).d_z == pytest.approx(1.0 / np.sqrt(6), abs=1e-12)
 
     def test_boundary_case_rejected(self):
         # unbounded optimal face (x2 free on the optimal set): the origin sits
         # on the boundary of Z-, so no constants exist for this problem
-        pi = LsioProblem(cost=[1.0, 0.0], rows=rows_of(
-            ([1.0, 0.0], 1.0), ([-1.0, 0.0], -2.0)
-        ))
+        pi = problem([1.0, 0.0], [[1.0, 0.0, 1.0], [-1.0, 0.0, -2.0]])
         with pytest.raises(NotInteriorSolvableError):
             st.lipschitz_constant(pi)
 
@@ -295,9 +279,7 @@ class TestLipschitzConstant:
         # Z- = conv{(1, 0), (-1, 0)} is a segment through the origin.
         # check_interior_solvable is forced to pass, so only the inradius's
         # own check (its polar has no vertices) rejects.
-        pi = LsioProblem(cost=[1.0, 0.0], rows=rows_of(
-            ([1.0, 0.0], 1.0), ([-1.0, 0.0], -2.0)
-        ))
+        pi = problem([1.0, 0.0], [[1.0, 0.0, 1.0], [-1.0, 0.0, -2.0]])
         real = st.check_interior_solvable
         monkeypatch.setattr(
             st,
@@ -312,9 +294,7 @@ class TestLipschitzConstant:
         # min x1 s.t. x1 +/- d x2 >= -1 is Slater and solvable, but
         # Z- = conv{(1, d), (1, -d), (-1, 0)} has inradius d/2 <= 1e-9, so
         # the bounded-face check rejects it (its eps-argmin is ~eps/d long)
-        pi = LsioProblem(cost=[1.0, 0.0], rows=rows_of(
-            ([1.0, d], -1.0), ([1.0, -d], -1.0)
-        ))
+        pi = problem([1.0, 0.0], [[1.0, d, -1.0], [1.0, -d, -1.0]])
         r = st.check_interior_solvable(pi)
         assert r.slater is not None and r.solve_result.status == lp.OPTIMAL
         assert not r.ok and "Z-" in r.failing
@@ -335,8 +315,7 @@ def test_checker_d_z_is_the_augmented_inradius(rng, n):
     for _ in range(5):
         checker = st.ValueLipschitzChecker(random_feasible_instance(rng, n=n, n_uncertain=3))
         aug = checker.augmented
-        canon = LsioProblem(cost=aug.cost, rows=st._canonical_rows(aug.rows))
-        want = inradius_at_origin(st.build_Zminus(canon)).value
+        want = inradius_at_origin(st.build_Zminus(st._canonical(aug))).value
         assert checker.constants.d_z.hex() == want.hex()
 
 
@@ -361,14 +340,47 @@ class TestSolveCounts:
         assert lp_solve_calls[0] == 2
 
 
+class TestCanonical:
+    def test_signed_zeros_duplicates_and_order(self):
+        rows = np.array(
+            [[1.0, -1.0], [0.0, -2.0], [-0.0, -2.0], [1.0, -1.0], [-1.0, -3.0], [0.0, -2.0]]
+        )
+        canon = st._canonical(problem([1.0], rows))
+        # 0.0 and -0.0 differ in their bytes, so both rows stay; they tie in
+        # the order, so they keep their first-occurrence order
+        assert canon.labels == ("t4", "t1", "t2", "t0")
+        assert [r.tobytes() for r in canon.rows] == [rows[i].tobytes() for i in (4, 1, 2, 0)]
+
+    def test_matches_sorted_first_occurrences(self, rng):
+        for _ in range(50):
+            rows = np.round(rng.normal(size=(12, 3)))  # ties, duplicates, -0.0
+            seen, first = set(), []
+            for row in rows:
+                if row.tobytes() not in seen:
+                    seen.add(row.tobytes())
+                    first.append(row)
+            want = sorted(first, key=tuple)
+            got = st._canonical(problem([1.0, 1.0], rows)).rows
+            assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+
+    def test_permuted_duplicated_copies_with_signed_zeros(self):
+        # the box rows -e_i carry -0.0 entries, and a permuted copy with
+        # duplicates gives the same constants, bit for bit
+        box = np.array([np.append(s * e, -1.0) for e in np.eye(2) for s in (1.0, -1.0)])
+        rows = np.vstack([box, [[0.5, 0.25, -0.5]]])
+        base = st.lipschitz_constant(problem([1.0, 0.5], rows)).to_dict()
+        copy = np.vstack([rows[::-1], rows[1:3]])
+        other = st.lipschitz_constant(problem([1.0, 0.5], copy)).to_dict()
+        assert {k: v.hex() for k, v in other.items()} == {k: v.hex() for k, v in base.items()}
+
+
 class TestAugmentation:
     def test_slack_row_appended(self):
         pi = interval_problem()
         aug = st.augment_with_slack_row(pi, 0.5)
-        assert len(aug.rows) == 3
-        last = aug.rows[-1]
-        assert last.label == st.SLACK_ROW_LABEL
-        assert np.all(last.a == 0.0) and last.b == -0.5
+        assert aug.rows.shape == (3, 2)
+        assert aug.labels[-1] == st.SLACK_ROW_LABEL
+        assert aug.rows[-1].tolist() == [0.0, -0.5]
 
     def test_slack_row_preserves_value(self):
         pi = interval_problem()
@@ -376,13 +388,31 @@ class TestAugmentation:
         assert lp.solve(aug.to_lp()).value == lp.solve(pi.to_lp()).value
 
     def test_sup_R_at_least_rho(self):
-        pi = LsioProblem(cost=[1.0], rows=rows_of(([1.0], 1.0), ([-1.0], -1.2)))
+        pi = problem([1.0], [[1.0, 1.0], [-1.0, -1.2]])
         aug = st.augment_with_slack_row(pi, 0.7)
         nu = lp.solve(aug.to_lp()).value
         assert st.sup_R(aug, nu) >= 0.7
 
 
 class TestValueLipschitz:
+    def test_check_solves_the_counterpart_in_u_label_order(self, rng, monkeypatch):
+        rp = random_feasible_instance(rng, n=2)
+        checker = st.ValueLipschitzChecker(rp)
+        shifted = shifted_instance(rp, rng, 1e-4)
+        rpV = RobustProblem(
+            constraint_sets=dict(reversed(shifted.constraint_sets.items())), cost=rp.cost
+        )
+        cpV = robust_counterpart(rpV)
+        index = {label: i for i, label in enumerate(cpV.labels)}
+        want = cpV.rows[[index[label] for label in checker.counterpart.labels]]
+        solved = []
+        real = lp.solve
+        monkeypatch.setattr(lp, "solve", lambda prob, **kw: solved.append(prob) or real(prob, **kw))
+        checker.check(rpV)
+        (prob,) = solved
+        got = np.column_stack([prob.a_matrix, prob.rhs])
+        assert got.tobytes() == want.tobytes()
+
     def test_small_translation_within_bound(self, rng):
         for _ in range(5):
             rp = random_feasible_instance(rng, n=2)
