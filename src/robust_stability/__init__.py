@@ -10,7 +10,6 @@ Submodules:
   harness   - CLI, file formats, experiment suites
 """
 
-from .config import Tolerances, default_tolerances
 from .geometry import Polytope
 from .model import LsioProblem, RobustProblem
 from .report import CertificateReport
@@ -20,8 +19,6 @@ __all__ = [
     "LsioProblem",
     "Polytope",
     "RobustProblem",
-    "Tolerances",
-    "default_tolerances",
 ]
 
 __version__ = "0.1.0"

@@ -3,7 +3,8 @@
 Everything here operates on V-representation polytopes (finite vertex lists).
 The workhorse is Wolfe's minimum-norm-point algorithm, an active-set scheme
 whose stopping test is the Frank-Wolfe dual gap; it gives certified, exact
-projections at desk scale.
+projections at desk scale, and it is the only projection: an H-polytope is
+projected onto as the hull of its vertices (enumerate_hrep_vertices).
 """
 
 import itertools
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import lp as lpmod
-from .config import default_tolerances
 from .errors import (
     DimensionMismatchError,
     IterationLimitError,
@@ -24,8 +24,6 @@ from .errors import (
 
 _MNP_GAP_TOL = 1e-9
 _MNP_MAX_ITER = 100_000
-_DYKSTRA_TOL = 1e-11
-_DYKSTRA_MAX_SWEEPS = 20_000
 _SUBSET_BLOCK = 4096  # d-subsets per stacked solve; ~3 MB of products at k = 64
 _FACET_MAX_SUBSETS = 3 * _SUBSET_BLOCK  # per enumeration in facets(), ~30 ms
 
@@ -366,7 +364,7 @@ def _polar_probe(P: Polytope):
     when the origin is not inside, when Q has no vertex, and when it would
     be <= 1e-9.
     """
-    tol = default_tolerances().feasibility
+    tol = lpmod._FEAS_TOL
     # a zero vertex (the slack row's, in the augmented Z-) bounds nothing: 0 <= 1
     W = P.vertices[P.vertices.any(axis=1)]
     k, d = W.shape
@@ -453,45 +451,10 @@ def facets(P: Polytope):
     return Facets(c, Y * off[:, None], off, scale)
 
 
-def project_onto_halfspaces(p, rows):
-    """Dykstra projection of p onto {x : <a_i, x> >= b_i for all i}, the
-    rows [a_i | b_i] of the (m, n+1) array rows.
-
-    Returns (q, dist).  Converges to the exact Euclidean projection for any
-    non-empty intersection of halfspaces; desk-scale inputs settle quickly.
-    IterationLimitError if _DYKSTRA_MAX_SWEEPS sweeps leave it unconverged.
-    """
-    p = np.asarray(p, dtype=float)
-    A, b = rows[:, :-1], rows[:, -1]
-    norms2 = np.sum(A * A, axis=1)
-    m = A.shape[0]
-    x = p.copy()
-    corrections = np.zeros((m, p.shape[0]))
-    for _ in range(_DYKSTRA_MAX_SWEEPS):
-        max_move = 0.0
-        for i in range(m):
-            if norms2[i] == 0.0:
-                continue
-            y = x - corrections[i]
-            viol = b[i] - A[i] @ y
-            if viol > 0.0:
-                x_new = y + (viol / norms2[i]) * A[i]
-            else:
-                x_new = y
-            corrections[i] = x_new - y
-            max_move = max(max_move, float(np.max(np.abs(x_new - x))))
-            x = x_new
-        resid = float(np.max(b - A @ x, initial=0.0))
-        if max_move <= _DYKSTRA_TOL and resid <= 1e-9:
-            break
-    else:
-        raise IterationLimitError("Dykstra sweep limit reached")
-    return x, float(np.linalg.norm(p - x))
-
-
 def enumerate_hrep_vertices(rows):
     """Vertices of {x : <a_i, x> >= b_i}, the rows [a_i | b_i] of the
-    (m, dim+1) array rows, dim <= 4, by basis enumeration.
+    (m, dim+1) array rows, by basis enumeration over the C(m, dim) subsets
+    of dim rows (desk scale).
 
     Every vertex is the unique solution of dim active rows; candidates are
     filtered by feasibility against all rows, row i at its own scale

@@ -22,7 +22,7 @@ from .errors import (
     SchemaError,
     ShapeMismatchError,
 )
-from .geometry import Polytope, project_onto_halfspaces
+from .geometry import Polytope, enumerate_hrep_vertices, project_onto_polytope
 from .model import (
     LsioProblem,
     RobustProblem,
@@ -275,10 +275,12 @@ def run_convergence_suite(rp: RobustProblem, config: ExperimentConfig):
     """Closedness/USC experiment: V_j -> U with shrinking magnitudes.
 
     Each step solves the perturbed counterpart and projects its optimal point
-    onto the optimal face of the reference problem.
+    onto the optimal face of the reference problem, the hull of the face's
+    vertices: the checker has verified that the face is bounded.
     """
     checker = ValueLipschitzChecker(rp, eps=config.epsilon)
-    face = optimal_face_rows(checker.counterpart, checker.nu_u)
+    rows = optimal_face_rows(checker.counterpart, checker.nu_u)
+    face = Polytope(np.array(enumerate_hrep_vertices(rows)))
     records = []
     for j in range(1, config.trials + 1):
         rng = _trial_rng(config.seed, 0)  # same stream: same direction each step
@@ -288,7 +290,7 @@ def run_convergence_suite(rp: RobustProblem, config: ExperimentConfig):
         res = lpmod.solve(robust_counterpart(rpV).to_lp())
         if res.status != lpmod.OPTIMAL:
             raise HypothesisViolatedError(f"step {j}: perturbed status {res.status}")
-        _, dist = project_onto_halfspaces(res.solution, face)
+        _, dist = project_onto_polytope(res.solution, face)
         records.append(
             ConvergenceRecord(
                 step=j,

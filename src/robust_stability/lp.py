@@ -18,7 +18,6 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Optional
 
-from .config import default_tolerances
 from .errors import (
     DimensionMismatchError,
     IterationLimitError,
@@ -31,6 +30,7 @@ UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-9
 _CHECK_TOL = 1e-7
+_FEAS_TOL = 1e-9  # the least Slater constant, and the least probe margin (geometry)
 _SLATER_CAP = 1e6
 
 
@@ -170,7 +170,6 @@ def solve(lp: LinearProgram, start=None) -> SolveResult:
     duality gap, an unbounded ray is a recession direction of descent, and
     infeasible results carry Farkas weights w >= 0 with A'w = 0, b'w > 0.
     """
-    tol = default_tolerances().feasibility
     n, m = lp.n, lp.m
     A, b, c = lp.a_matrix, lp.rhs, lp.cost
     if m == 0:
@@ -203,7 +202,7 @@ def solve(lp: LinearProgram, start=None) -> SolveResult:
         T[-1, :N] = -T[art, :N].sum(axis=0)
         T[-1, -1] = -T[art, -1].sum()
         _pivot_loop(T, basis, N, max_iter, bounded=True)
-        if T[-1, -1] < -max(tol, 1e-8) * max(1.0, np.abs(b).max()):
+        if T[-1, -1] < -1e-8 * max(1.0, np.abs(b).max()):
             # Farkas weights: the slack reduced costs of the phase-1 optimum
             w = np.maximum(T[-1, slack], 0.0)
             residual = np.abs(A.T @ w).max(initial=0.0)
@@ -253,7 +252,6 @@ def slater_constant(rows):
     The LP is written in rho = rho0 + rho' with rho0 = min(_SLATER_CAP, min_t -b_t),
     so that every rhs is <= 0 and the simplex starts feasible.
     """
-    tol = default_tolerances().feasibility
     if not len(rows):
         raise ValueError("slater_constant needs at least one row")
     A, b = rows[:, :-1], rows[:, -1]
@@ -268,7 +266,7 @@ def slater_constant(rows):
     if res.status != OPTIMAL:
         raise NumericalBreakdownError(f"slater LP status {res.status}")
     rho = rho0 - res.value
-    if rho <= tol:
+    if rho <= _FEAS_TOL:
         return None
     return SlaterCertificate(
         point=res.solution[:n].copy(), rho=float(rho), capped=rho >= _SLATER_CAP - 1e-6

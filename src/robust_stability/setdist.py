@@ -1,10 +1,12 @@
 """Epsilon-optimal solution sets and r-truncated set metrics.
 
 The eps-argmin of a solvable problem is the H-polytope {feasible rows} plus
-the level row <c, x> <= nu + eps.  The truncated Hausdorff estimator reports
-a certified lower bound (candidate-point maxima under-estimate an excess, so
-a theorem bound dominating even the lower bound is the conservative check
-direction) together with an exactness flag.
+the level row <c, x> <= nu + eps.  The set metrics take it, once, as the
+hull of its vertices cut by a box wide enough to change no distance they
+take (_polytopes), and then project onto polytopes only.  The truncated
+Hausdorff estimator reports a certified lower bound (candidate-point maxima
+under-estimate an excess, so a theorem bound dominating even the lower bound
+is the conservative check direction) together with an exactness flag.
 """
 
 import numpy as np
@@ -21,7 +23,6 @@ from .errors import (
 from .geometry import (
     Polytope,
     enumerate_hrep_vertices,
-    project_onto_halfspaces,
     project_onto_polytope,
 )
 from .model import (
@@ -94,60 +95,45 @@ def _eps_argmin_from(cost, rows, res: lpmod.SolveResult, eps: float) -> EpsArgmi
     )
 
 
-def _dist_to(C: Union[EpsArgmin, Polytope], x) -> float:
-    if isinstance(C, Polytope):
-        return project_onto_polytope(x, C)[1]
-    return project_onto_halfspaces(x, C.rows)[1]
+def _polytopes(sets, r: float):
+    """Each set as (Polytope, seed), seed the point its boundary walk starts
+    from: a Polytope as itself with its vertex mean, an EpsArgmin as the
+    hull of its vertices cut by the box |y_i| <= R, with its witness.
+
+    The box changes no distance the estimators take.  Each is from a point x
+    with ||x|| <= rho = max(r, W), W the largest seed norm: the anchor that
+    replaces a seed outside the r-ball is its projection from the r-sphere
+    along the seed's own ray, within ||seed|| of the origin.  A projection
+    of x onto a set holding the seed w is within ||x|| + ||x - w|| <=
+    2 rho + W = R of the origin, so inside the box.  The box's own vertices
+    have norm >= R > r, so an unbounded set never reads as exact.  The box
+    rows are scaled into [-1, 1], which leaves the feasibility tolerance of
+    enumerate_hrep_vertices (relative to the largest entry) as it is for
+    the set's own rows.
+    """
+    seeds = [S.witness if isinstance(S, EpsArgmin) else S.vertices.mean(axis=0) for S in sets]
+    W = max(float(np.linalg.norm(x)) for x in seeds)
+    R = 2.0 * max(r, W) + W
+    w = 1.0 / max(1.0, R)
+    box = [np.append(s * w * e, -R * w) for e in np.eye(sets[0].dim) for s in (1.0, -1.0)]
+    return [
+        (Polytope(np.array(enumerate_hrep_vertices(np.vstack([S.rows, *box]))))
+         if isinstance(S, EpsArgmin) else S, x)
+        for S, x in zip(sets, seeds)
+    ]
 
 
-def _vertex_candidates(C: Union[EpsArgmin, Polytope], r: float):
-    """Vertices of C; an EpsArgmin is cut by the box |x_i| <= 2r first, whose
-    own vertices have norm > r, so an unbounded set never reads as exact.
-    The box rows are scaled into [-1, 1], which leaves the feasibility
-    tolerance of enumerate_hrep_vertices (relative to the largest entry) as
-    it is for C's own rows."""
-    if isinstance(C, Polytope):
-        return [v for v in C.vertices]
-    if C.dim > 4:
-        return None  # estimator-only above desk scale
-    w = 1.0 / max(1.0, 2.0 * r)
-    box = [np.append(s * w * e, -2.0 * r * w) for e in np.eye(C.dim) for s in (1.0, -1.0)]
-    return enumerate_hrep_vertices(np.vstack([C.rows, *box]))
-
-
-def _interior_anchor(C: Union[EpsArgmin, Polytope], r: float):
-    if isinstance(C, EpsArgmin):
-        anchor = C.witness
-    else:
-        anchor = C.vertices.mean(axis=0)
-    if np.linalg.norm(anchor) > r:
-        anchor = anchor * (r / np.linalg.norm(anchor))
-        anchor = project_onto_halfspaces(anchor, C.rows)[0] if isinstance(C, EpsArgmin) else project_onto_polytope(anchor, C)[0]
-    return anchor
-
-
-def _contains(C, x, tol=1e-9) -> bool:
-    return _dist_to(C, x) <= tol
-
-
-def _truncated_excess(C, D, params: TruncatedDistParams):
+def _truncated_excess(C: Polytope, seed, D: Polytope, r: float):
     """(lower bound of e(C cap rB, D), exact flag)."""
-    r = params.r
-    candidates = []
-    exact = True
-    verts = _vertex_candidates(C, r)
-    if verts is None:
-        exact = False
-        verts = []
-    inside = [v for v in verts if np.linalg.norm(v) <= r + 1e-12]
-    candidates.extend(inside)
-    if len(inside) < len(verts):
-        exact = False
-    if not exact or not candidates:
+    candidates = [v for v in C.vertices if np.linalg.norm(v) <= r + 1e-12]
+    exact = len(candidates) == len(C.vertices)
+    if not exact:
         # boundary samples of C cap sphere(r): walk rays from an interior
         # anchor and bisect for the last point in C with norm <= r
         rng = np.random.default_rng(_SEED)
-        anchor = _interior_anchor(C, r)
+        anchor = seed
+        if np.linalg.norm(anchor) > r:
+            anchor = project_onto_polytope(anchor * (r / np.linalg.norm(anchor)), C)[0]
         dirs = rng.standard_normal((_DIRECTION_COUNT, C.dim))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         for u in dirs:
@@ -155,15 +141,13 @@ def _truncated_excess(C, D, params: TruncatedDistParams):
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
                 x = anchor + mid * u
-                if np.linalg.norm(x) <= r and _contains(C, x, 1e-7):
+                if np.linalg.norm(x) <= r and project_onto_polytope(x, C)[1] <= 1e-7:
                     lo = mid
                 else:
                     hi = mid
             candidates.append(anchor + lo * u)
         candidates.append(np.asarray(anchor, dtype=float))
-    if not candidates:
-        return 0.0, False
-    value = max(_dist_to(D, x) for x in candidates)
+    value = max(project_onto_polytope(x, D)[1] for x in candidates)
     return float(value), exact
 
 
@@ -177,8 +161,9 @@ def truncated_hausdorff(
     Exact (estimate=False) whenever all vertices of both sets lie inside the
     r-ball: the excess of a polytope is then attained at a vertex.
     """
-    e_cd, exact_cd = _truncated_excess(C, D, params)
-    e_dc, exact_dc = _truncated_excess(D, C, params)
+    (C, seed_c), (D, seed_d) = _polytopes([C, D], params.r)
+    e_cd, exact_cd = _truncated_excess(C, seed_c, D, params.r)
+    e_dc, exact_dc = _truncated_excess(D, seed_d, C, params.r)
     value = max(e_cd, e_dc)
     exact = exact_cd and exact_dc
     return TruncatedDistance(value=value, estimate=not exact)
@@ -196,6 +181,7 @@ def d_r_metric(
     value is a certified lower bound of the true maximum.
     """
     r = params.r
+    (C, _), (D, _) = _polytopes([C, D], r)
     dim = C.dim
     pts = []
     if dim <= 3:
@@ -212,7 +198,7 @@ def d_r_metric(
     sample = np.vstack(pts)
     best = 0.0
     for x in sample:
-        best = max(best, abs(_dist_to(C, x) - _dist_to(D, x)))
+        best = max(best, abs(project_onto_polytope(x, C)[1] - project_onto_polytope(x, D)[1]))
     return float(best)
 
 
@@ -251,7 +237,6 @@ def check_eps_argmin_lipschitz(
     eta: float = None,
     r: float = None,
     r0: float = None,
-    params: TruncatedDistParams = None,
 ) -> CertificateReport:
     """Certify d-hat_r(eps-argmin(U), eps-argmin(V)) <= coefficient * d_nat.
 
@@ -307,11 +292,9 @@ def check_eps_argmin_lipschitz(
         raise HypothesisViolatedError("r0-ball misses an eps-argmin set")
     if r is None:
         r = 2.0 * r0
-    if params is None:
-        params = TruncatedDistParams(r=r, r0=r0)
     c_norm = float(np.linalg.norm(cpU.cost))
     coeff = eps_argmin_bound(eta, r, eps, c_norm, dist_infeas)
-    td = truncated_hausdorff(EU, EV, params)
+    td = truncated_hausdorff(EU, EV, TruncatedDistParams(r=r, r0=r0))
     bound = coeff * d_nat
     return CertificateReport.from_values(
         bound,

@@ -24,7 +24,6 @@ from robust_stability.geometry import (
     enumerate_hrep_vertices,
     hausdorff,
     inradius_at_origin,
-    project_onto_halfspaces,
 )
 from robust_stability.model import (
     LsioProblem,
@@ -35,6 +34,7 @@ from robust_stability.model import (
 )
 
 import rational_simplex
+from dykstra import project_onto_halfspaces
 from conftest import random_feasible_instance, random_polytope, shifted_instance
 from test_geometry import hset_grid_oracle
 

@@ -15,6 +15,8 @@ from robust_stability.errors import (
     UnboundedPolarError,
 )
 
+import dykstra
+
 
 def grid_project(p, P, step=1e-3):
     """Independent oracle: dense grid over barycentric weights (k <= 3)."""
@@ -681,12 +683,12 @@ class TestHalfspacesAndVertices:
     ])
 
     def test_projection(self):
-        q, d = geo.project_onto_halfspaces([2.0, 2.0], self.UNIT_SQUARE)
+        q, d = dykstra.project_onto_halfspaces([2.0, 2.0], self.UNIT_SQUARE)
         assert q == pytest.approx([1.0, 1.0], abs=1e-8)
         assert d == pytest.approx(np.sqrt(2), abs=1e-8)
 
     def test_projection_inside(self):
-        q, d = geo.project_onto_halfspaces([0.5, 0.5], self.UNIT_SQUARE)
+        q, d = dykstra.project_onto_halfspaces([0.5, 0.5], self.UNIT_SQUARE)
         assert d == 0.0
 
     def test_vertex_enumeration(self):
@@ -714,7 +716,7 @@ class TestHalfspacesAndVertices:
                 continue
             hull = geo.Polytope(np.array(verts))
             p = rng.normal(size=2) * 2
-            _, d1 = geo.project_onto_halfspaces(p, rows)
+            _, d1 = dykstra.project_onto_halfspaces(p, rows)
             _, d2 = geo.project_onto_polytope(p, hull)
             assert abs(d1 - d2) <= 1e-6
 
@@ -861,8 +863,8 @@ class TestIterationLimits:
 
     def test_project_onto_halfspaces(self, monkeypatch):
         rows = TestHalfspacesAndVertices.UNIT_SQUARE
-        monkeypatch.setattr(geo, "_DYKSTRA_MAX_SWEEPS", 2)
-        assert geo.project_onto_halfspaces([2.0, 2.0], rows)[1] == pytest.approx(np.sqrt(2))
-        monkeypatch.setattr(geo, "_DYKSTRA_MAX_SWEEPS", 1)
+        monkeypatch.setattr(dykstra, "MAX_SWEEPS", 2)
+        assert dykstra.project_onto_halfspaces([2.0, 2.0], rows)[1] == pytest.approx(np.sqrt(2))
+        monkeypatch.setattr(dykstra, "MAX_SWEEPS", 1)
         with pytest.raises(IterationLimitError):
-            geo.project_onto_halfspaces([2.0, 2.0], rows)
+            dykstra.project_onto_halfspaces([2.0, 2.0], rows)

@@ -131,6 +131,31 @@ class TestSuites:
             1e-7, 1e-3 * max(records[0].dist_to_fopt, 1e-300)
         )
 
+    def test_convergence_suite_on_a_slow_face(self):
+        # a reference whose optimal face some Dykstra projection reached only
+        # after more than 20,000 sweeps; the distances halve with d_nat
+        sets = {
+            "u0": [[0.4977984133127603, 0.7445121980090182, -1.8214858112554502],
+                   [0.6993769573124038, 0.8164743841740407, -1.7911194555048855]],
+            "u1": [[0.3866028227212337, -0.9341985680164346, -0.8480375191155403],
+                   [0.5769047031785282, -0.8872071805956154, -0.9763523488203165],
+                   [0.6204165538083786, -0.9263671108080188, -1.055356246737283],
+                   [0.44616441239257204, -1.0024351129705544, -0.8215123968007371]],
+            "lo0": [[1.0, 0.0, -4.0]],
+            "hi0": [[-1.0, 0.0, -4.0]],
+            "lo1": [[0.0, 1.0, -4.0]],
+            "hi1": [[0.0, -1.0, -4.0]],
+        }
+        rp = RobustProblem(
+            constraint_sets={label: Polytope(V) for label, V in sets.items()},
+            cost=[1.6096868317882371, 1.8402948816174964],
+        )
+        config = hn.ExperimentConfig(seed=113, trials=12, magnitude_schedule=(1e-2,))
+        dists = [r.dist_to_fopt for r in hn.run_convergence_suite(rp, config)]
+        assert dists[0] == pytest.approx(0.0344677442436, abs=1e-9)
+        for a, b in zip(dists, dists[1:]):
+            assert b == pytest.approx(0.5 * a, rel=1e-2)
+
     def test_bad_config_values(self):
         with pytest.raises(ValueError):
             hn.ExperimentConfig(trials=0)

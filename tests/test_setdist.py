@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,11 @@ from robust_stability.errors import (
     NotSolvableError,
     NumericalBreakdownError,
 )
-from robust_stability.geometry import Polytope, hausdorff
-from robust_stability.model import LsioProblem
+from robust_stability.geometry import Polytope, enumerate_hrep_vertices, hausdorff
+from robust_stability.model import LsioProblem, RobustProblem, robust_counterpart
 
 from conftest import random_feasible_instance, shifted_instance
+from dykstra import project_onto_halfspaces
 
 
 def problem(cost, rows):
@@ -29,8 +32,6 @@ class TestEpsArgmin:
         E = sd.eps_argmin(interval_problem(), 0.5)
         assert E.nu == pytest.approx(1.0, abs=1e-10)
         assert E.epsilon == 0.5
-        from robust_stability.geometry import enumerate_hrep_vertices
-
         verts = sorted(v[0] for v in enumerate_hrep_vertices(E.rows))
         assert verts == pytest.approx([1.0, 1.5], abs=1e-8)
 
@@ -39,8 +40,6 @@ class TestEpsArgmin:
         pi = problem([1.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, -1.0]])
         E = sd.eps_argmin(pi, 0.25)
         assert E.nu == pytest.approx(0.0, abs=1e-10)
-        from robust_stability.geometry import enumerate_hrep_vertices
-
         verts = sorted(tuple(np.round(v, 8)) for v in enumerate_hrep_vertices(E.rows))
         assert verts == [(0.0, 0.0), (0.0, 0.25), (0.25, 0.0)]
 
@@ -55,9 +54,6 @@ class TestEpsArgmin:
 
     def test_monotone_in_eps(self):
         """eps-argmin sets are nested: larger eps contains smaller eps."""
-        from robust_stability.geometry import enumerate_hrep_vertices
-        from robust_stability.geometry import project_onto_halfspaces
-
         pi = interval_problem()
         small = sd.eps_argmin(pi, 0.2)
         large = sd.eps_argmin(pi, 0.6)
@@ -111,13 +107,27 @@ class TestTruncatedHausdorff:
     def test_box_keeps_the_vertices_of_a_bounded_set(self):
         # [0, 1] with a row x >= -5e-8 listed first: its solution -5e-8 is
         # infeasible by more than 1e-8 * scale and must stay filtered out,
-        # not shadow the vertex 0, when the box |x| <= 2r joins the rows
+        # not shadow the vertex 0, when the box |x| <= R joins the rows
         E = sd.EpsArgmin(
             rows=np.array([[1.0, -5e-8], [1.0, 0.0], [-1.0, -1.0]]),
             epsilon=1.0, nu=0.0, witness=np.zeros(1),
         )
-        inside = [v for v in sd._vertex_candidates(E, 4.0) if abs(v[0]) <= 4.0]
+        [(P, _)] = sd._polytopes([E], 4.0)
+        inside = [v for v in P.vertices if abs(v[0]) <= 4.0]
         assert [v.tolist() for v in inside] == [[0.0], [1.0]]
+
+    def test_five_dimensional_translate_is_exact(self):
+        # min sum x over x >= 0, and over x >= -t: the eps-argmin sets are
+        # the simplex {x >= 0, sum x <= eps} and its translate by -t 1, at
+        # Hausdorff distance t sqrt(5), with every vertex inside the r-ball
+        t, eps = 1e-3, 0.3
+        E, F = (
+            sd.eps_argmin(problem(np.ones(5), np.column_stack([np.eye(5), np.full(5, b)])), eps)
+            for b in (0.0, -t)
+        )
+        td = sd.truncated_hausdorff(E, F, self.params(r=2.0, r0=1.0))
+        assert not td.estimate
+        assert td.value == pytest.approx(t * np.sqrt(5.0), abs=1e-12)
 
     def test_symmetry(self, rng):
         C = Polytope(rng.normal(size=(4, 2)))
@@ -126,6 +136,75 @@ class TestTruncatedHausdorff:
         assert sd.truncated_hausdorff(C, D, p).value == pytest.approx(
             sd.truncated_hausdorff(D, C, p).value, abs=1e-9
         )
+
+
+class _Halfspaces(NamedTuple):
+    """An eps-argmin set as dykstra_truncated_hausdorff hands it to
+    _truncated_excess: its vertices cut by a box, and its rows, onto which
+    the patched projection runs Dykstra."""
+
+    rows: np.ndarray
+    vertices: np.ndarray
+    dim: int
+
+
+def dykstra_truncated_hausdorff(monkeypatch, E, F, r):
+    """(value, estimate) of d-hat_r(E, F) with every distance to a set taken
+    by a tightly converged Dykstra projection onto its halfspaces."""
+    real = sd.project_onto_polytope
+
+    def project(x, C):
+        if isinstance(C, _Halfspaces):
+            return project_onto_halfspaces(x, C.rows, tol=1e-14)
+        return real(x, C)
+
+    # any box wider than r that holds both witnesses leaves the vertices in
+    # the r-ball, and whether there are others, as they are
+    width = 3.0 * r + max(np.linalg.norm(E.witness), np.linalg.norm(F.witness))
+    box = [np.append(s * e, -width) for e in np.eye(E.dim) for s in (1.0, -1.0)]
+    H = [
+        _Halfspaces(S.rows, np.array(enumerate_hrep_vertices(np.vstack([S.rows, *box]))), S.dim)
+        for S in (E, F)
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(sd, "project_onto_polytope", project)
+        e_ef, exact_ef = sd._truncated_excess(H[0], E.witness, H[1], r)
+        e_fe, exact_fe = sd._truncated_excess(H[1], F.witness, H[0], r)
+    return max(e_ef, e_fe), not (exact_ef and exact_fe)
+
+
+class TestAgainstDykstra:
+    def test_random_sets(self, rng, monkeypatch):
+        """Bounded and unbounded eps-argmin sets in n = 1..3: the boxed
+        vertex hulls give Dykstra's distances on the halfspaces, and the
+        same exactness flag."""
+        monkeypatch.setattr(sd, "_DIRECTION_COUNT", 4)  # a ray costs 60 projections
+        flags = []
+        for i in range(12):
+            n = 1 + i % 3
+            cost = rng.normal(size=n)
+            # <c, x> >= -1 and the level row bound <c, x>; n - 1 halfspaces
+            # more leave a recession direction for n >= 2 (that many meet
+            # beyond 0 in c's orthogonal complement), which the box rows
+            # of every odd i take away
+            a = rng.normal(size=(n - 1, n))
+            rows = np.vstack([
+                np.append(cost, -1.0),
+                np.column_stack([a, -rng.uniform(0.2, 1.0, size=n - 1)]),
+                *([np.append(s * e, -2.0) for e in np.eye(n) for s in (1.0, -1.0)] if i % 2 else []),
+            ])
+            moved = rows.copy()
+            moved[:, -1] += rng.uniform(-1e-3, 1e-3, size=len(rows))
+            eps = float(rng.uniform(0.1, 0.5))
+            E = sd.eps_argmin(problem(cost, rows), eps)
+            F = sd.eps_argmin(problem(cost, moved), eps)
+            r = float(rng.uniform(0.5, 3.0))
+            td = sd.truncated_hausdorff(E, F, sd.TruncatedDistParams(r=r, r0=0.5 * r))
+            value, estimate = dykstra_truncated_hausdorff(monkeypatch, E, F, r)
+            assert td.estimate == estimate
+            assert td.value == pytest.approx(value, abs=1e-8)
+            flags.append(td.estimate)
+        assert any(flags) and not all(flags)
 
 
 class TestDrMetric:
@@ -216,9 +295,49 @@ class TestCheckEpsArgminLipschitz:
         sd.check_eps_argmin_lipschitz(rp, rpV, eps=0.3)
         assert lp_solve_calls[0] == 3
 
-    def test_bad_reference(self):
-        from robust_stability.model import RobustProblem
+    def test_two_dimensional_pair(self):
+        # a pair on which some Dykstra projection outran 20,000 sweeps; every
+        # vertex lies inside the r-ball, so the value is d_H of the sets
+        def rp(sets):
+            sets = {label: Polytope(V) for label, V in sets.items()}
+            return RobustProblem(constraint_sets=sets, cost=[-0.04683124858533187, -2.0594743076322546])
 
+        rp_u = rp({
+            "u0": [[0.10667351905831299, 0.13893427103657258, -2.02227668199587],
+                   [0.014588160498317931, 0.3717705737391992, -2.0968642831288746],
+                   [0.11899101234475082, 0.3840446608132181, -1.9814389274701507],
+                   [-0.14851159693107108, 0.09356698015424342, -1.920167069091666]],
+            "u1": [[0.6514227323836982, 0.4875316832841836, -0.7094564098713252],
+                   [0.9060427372621663, 0.4788754369618698, -0.4803596337976975],
+                   [0.635842393836905, 0.7506122441354496, -0.4772768250384719]],
+            "lo0": [[1.0, 0.0, -4.0]],
+            "hi0": [[-1.0, 0.0, -4.0]],
+            "lo1": [[0.0, 1.0, -4.0]],
+            "hi1": [[0.0, -1.0, -4.0]],
+        })
+        rp_v = rp({
+            "u0": [[0.107182466192177, 0.13870481226296513, -2.0222488470158466],
+                   [0.01509710763218195, 0.3715411149655917, -2.096836448148851],
+                   [0.11949995947861483, 0.3838152020396106, -1.981411092490127],
+                   [-0.14800264979720706, 0.09333752138063597, -1.9201392341116421]],
+            "u1": [[0.6513401106499435, 0.4880679373832504, -0.7095907917537059],
+                   [0.9059601155284116, 0.47941169106093656, -0.4804940156800782],
+                   [0.6357597721031503, 0.7511484982345163, -0.4774112069208526]],
+            "lo0": [[1.0002400006063978, 3.4461030573536854e-05, -4.000503652108372]],
+            "hi0": [[-0.9998619316772126, -9.879005823605366e-05, -3.9994674298519413]],
+            "lo1": [[6.140262191144639e-05, 1.0000117176470649, -3.9994445310857154]],
+            "hi1": [[0.00032481474167262705, -1.0003866950365417, -4.000239615592717]],
+        })
+        eps = 0.13567073800349305
+        rep = sd.check_eps_argmin_lipschitz(rp_u, rp_v, eps=eps)
+        assert rep.passed and rep.context["estimate"] is False
+        EU, EV = (
+            Polytope(np.array(enumerate_hrep_vertices(sd.eps_argmin(robust_counterpart(p), eps).rows)))
+            for p in (rp_u, rp_v)
+        )
+        assert rep.measured == pytest.approx(hausdorff(EU, EV), abs=1e-9)
+
+    def test_bad_reference(self):
         rp = RobustProblem(
             constraint_sets={
                 "a": Polytope([[1.0, 0.0]]),
@@ -235,8 +354,6 @@ class TestCheckEpsArgminLipschitz:
         # reaches x2 ~ r inside the r-ball, far from U's (x2 <= 1).  Its
         # vertices alone all lie in U's eps-argmin, so a vertex-only
         # candidate list reads 0 and calls the side exact.
-        from robust_stability.model import RobustProblem
-
         def rp(last):
             sets = {
                 "a": Polytope([[1.0, 0.0, -1.0]]),
