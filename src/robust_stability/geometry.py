@@ -459,19 +459,35 @@ def enumerate_hrep_vertices(rows):
     Every vertex is the unique solution of dim active rows; candidates are
     filtered by feasibility against all rows, row i at its own scale
     (violation <= 1e-8 * max(1, |b_i|, max_j |a_ij|), so that one row with
-    large entries loosens no other), and deduplicated.  Subsets of
+    large entries loosens no other), and deduplicated in first-occurrence
+    order: a candidate within 1e-7 of a kept vertex is dropped.  Subsets of
     rank < dim (singular values <= 1e-12 of the largest) solve to arbitrary
     face points, e.g. on an edge that four facets of a 4-D polytope share.
     """
     A, b = rows[:, :-1], rows[:, -1]
     dim = A.shape[1]
     tol = 1e-8 * np.maximum(np.maximum(1.0, np.abs(b)), np.abs(A).max(axis=1))
-    verts = []
+    verts = np.zeros((0, dim))
     for S, X, AX in _subset_solutions(A, b, dim):
         keep = np.isfinite(X).all(axis=1) & (AX >= b - tol).all(axis=1)
         sv = np.linalg.svd(S[keep], compute_uv=False)
         keep[keep] = sv[:, -1] > 1e-12 * sv[:, 0]
-        for x in X[keep]:
-            if not any(np.linalg.norm(x - w) <= 1e-7 for w in verts):
-                verts.append(x)
-    return verts
+        verts = _append_distinct(verts, X[keep])
+    return list(verts)
+
+
+def _append_distinct(kept, X):
+    """kept followed by each row x of X, in order, that lies more than 1e-7
+    from every row kept before it.  The distances are np.linalg.norm(x - w)
+    bit for bit, taken 64 rows of X at a time against all kept rows and
+    those 64, which bounds the block at 64 * (len(kept) + 64) * dim."""
+    for i in range(0, len(X), 64):
+        C = X[i : i + 64]
+        D = C[:, None, :] - np.concatenate([kept, C])
+        near = (np.sqrt((D[..., None, :] @ D[..., :, None])[..., 0, 0]) <= 1e-7).tolist()
+        n, new = len(kept), []
+        for j, row in enumerate(near):
+            if not any(row[:n]) and not any(row[n + q] for q in new):
+                new.append(j)
+        kept = np.concatenate([kept, C[new]])
+    return kept

@@ -18,6 +18,13 @@ _MEMBERSHIP_TOL; Wolfe stops on a gap test or a stall) is measured, not
 derived: the transform-identity benchmark pools kept every bit.  Points in
 the band, and sets without a facet list, are projected, U before V, each
 while an allowed index region has room.
+
+Candidates are drawn _BLOCK at a time: per block, one integer draw picks
+each candidate's source (U's hull, V's hull or the box), then one Dirichlet
+draw per vertex set and one uniform draw fill them, so the seeded stream
+differs from a point-by-point draw.  The facet test runs once per block
+and set.  The sampled sup is one batched norm over the points that lie in
+exactly one set, the only ones where the two transformations differ.
 """
 
 import numpy as np
@@ -33,6 +40,8 @@ _AMBIGUITY_BAND = 1e-9
 _FACET_BAND = 1e-6
 _IDENTITY_TOL = 1e-6
 _BOX_MARGIN = 1.0  # random draws fill the vertices' bounding box plus this
+_BLOCK = 64  # candidates drawn and tested against the facets at a time
+_STALL = 200  # consecutive rejected draws that end the sampling
 
 
 @dataclass(frozen=True)
@@ -71,19 +80,29 @@ def _has_room(inside, full):
     return any(not full[_region(u, v)] for u in options[0] for v in options[1])
 
 
-def _classify(t, U, V, home=None, full=(False,) * 4, hreps=(None, None)):
-    """(in_u, in_v, proj_u, proj_v, dist_u, dist_v), or None if t falls in
-    the membership ambiguity band or only in full regions.  t lies in `home`
-    (0: U, 1: V); `hreps` holds U's and V's facets or None.  Projects as the
-    module docstring says; an unread projection stays t, its distance None."""
-    inside, proj, dist = [None, None], [t, t], [None, None]
-    if home is not None:
-        inside[home] = True
-    for i, h in enumerate(hreps):  # geometry.Facets; skip within the band
-        if inside[i] is None and h is not None:
-            s = float((h.normals @ (t - h.center) - h.offsets).max())
-            if abs(s) > _FACET_BAND * h.scale:
-                inside[i] = s < 0.0
+def _memberships(T, homes, hreps):
+    """[in_u, in_v] per row t of T as far as the facets decide, None where
+    they do not: t beyond _FACET_BAND * scale of a facet hyperplane is
+    outside, t that deep inside every facet is inside, and a set without a
+    facet list (hreps[i] None) leaves it open.  t lies in its home set
+    (homes: 0 U, 1 V, 2 neither), which is not tested.  The products are
+    per row, so a point has the same verdict in any block."""
+    cols = []
+    for h in hreps:  # geometry.Facets or None
+        if h is None:
+            cols.append([None] * len(T))
+            continue
+        s = (((T - h.center)[:, None, :] * h.normals).sum(axis=2) - h.offsets).max(axis=1)
+        cols.append(np.where(np.abs(s) > _FACET_BAND * h.scale, s < 0.0, None).tolist())
+    return [[home == 0 or u, home == 1 or v] for home, u, v in zip(homes, *cols)]
+
+
+def _settle(t, U, V, inside, full):
+    """(in_u, in_v, proj_u, proj_v, dist_u, dist_v) from the memberships
+    known so far, or None if t falls in the membership ambiguity band or
+    only in full regions.  Projects as the module docstring says; an unread
+    projection stays t, its distance None."""
+    proj, dist = [t, t], [None, None]
     for i, P in enumerate((U, V)):
         if inside[i] is None and _has_room(inside, full):
             proj[i], dist[i] = project_onto_polytope(t, P)
@@ -98,58 +117,77 @@ def _classify(t, U, V, home=None, full=(False,) * 4, hreps=(None, None)):
     return (*inside, *proj, *dist)
 
 
+def _classify(t, U, V, home=None, full=(False,) * 4, hreps=(None, None)):
+    """_settle for one point t, its memberships read off `hreps` (U's and
+    V's facets or None); t lies in `home` (0: U, 1: V)."""
+    inside = _memberships(t[None], [2 if home is None else home], hreps)[0]
+    return _settle(t, U, V, inside, full)
+
+
+def _draw_block(rng, U, V, lo, hi):
+    """The next _BLOCK candidates of the stream: (homes, points) in draw
+    order.  Home 0 (1) is a Dirichlet-weighted convex combination of U's
+    (V's) vertices, home 2 a uniform draw from the box [lo, hi]."""
+    homes = rng.integers(0, 3, _BLOCK)
+    T = np.empty((_BLOCK, len(lo)))
+    for home, P in enumerate((U, V)):
+        at = homes == home
+        T[at] = rng.dirichlet(np.ones(len(P.vertices)), int(at.sum())) @ P.vertices
+    at = homes == 2
+    T[at] = rng.uniform(lo, hi, (int(at.sum()), len(lo)))
+    return homes.tolist(), T
+
+
 def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
     """Deterministic vertices of both sets plus seeded samples per region.
 
-    Region targets are best-effort: rejection sampling with a stall cutoff,
-    so empty regions (e.g. disjoint sets have no U-and-V points) are skipped
-    rather than spun on.  Every draw, stall and accepted point is the same
-    as with both projections.  Returns [(t, in_u, in_v, proj_u, proj_v)]
-    and the vertices' projected distances as _hausdorff_max reads them.
+    Candidates come _BLOCK at a time (_draw_block) with their facet
+    memberships (_memberships) and are walked in draw order; a decided
+    point in a full region is rejected without a call.  Region targets are
+    best-effort: sampling stops after _STALL consecutive rejected draws,
+    counted across blocks, so empty regions (e.g. disjoint sets have no
+    U-and-V points) are skipped rather than spun on, and at the draw that
+    fills the last region.  Every stall and accepted point is the same as
+    with both projections.  Returns [(t, in_u, in_v, proj_u, proj_v)] and
+    the vertices' projected distances as _hausdorff_max reads them.
     """
     rng = np.random.default_rng(plan.seed)
     hreps = (facets(U), facets(V))
     out, known = [], {(0, 0): {}, (0, 1): {}}
-    for home, P in enumerate((U, V)):
-        for i, v in enumerate(P.vertices):
-            cls = _classify(v, U, V, home, hreps=hreps)
-            if cls is not None:
-                out.append((v, *cls[:4]))
-                if cls[5 - home] is not None:  # the distance to the other set
-                    known[0, home][i] = cls[5 - home]
+    k = len(U.vertices)
     all_v = np.vstack([U.vertices, V.vertices])
+    homes = [0] * k + [1] * len(V.vertices)
+    for j, (v, inside) in enumerate(zip(all_v, _memberships(all_v, homes, hreps))):
+        cls = _settle(v, U, V, inside, (False,) * 4)
+        if cls is not None:
+            out.append((v, *cls[:4]))
+            home = homes[j]
+            if cls[5 - home] is not None:  # the distance to the other set
+                known[0, home][j - home * k] = cls[5 - home]
     lo = all_v.min(axis=0) - _BOX_MARGIN
     hi = all_v.max(axis=0) + _BOX_MARGIN
-    want = list(plan.counts)
-    got = [0, 0, 0, 0]
-    stall = 0
-    while any(g < w for g, w in zip(got, want)) and stall < 200:
-        mode = int(rng.integers(0, 3))
-        if mode < 2:  # convex combination of U's (mode 0) or V's vertices
-            verts = (U, V)[mode].vertices
-            t = verts.T @ rng.dirichlet(np.ones(verts.shape[0]))
-        else:
-            t = rng.uniform(lo, hi)
-        full = [g >= w for g, w in zip(got, want)]
-        cls = _classify(t, U, V, mode if mode < 2 else None, full, hreps)
-        if cls is None:
-            stall += 1
-            continue
-        got[_region(cls[0], cls[1])] += 1
-        stall = 0
-        out.append((t, *cls[:4]))
+    want, got, stall = plan.counts, [0, 0, 0, 0], 0
+    full = [w <= 0 for w in want]
+    while not all(full) and stall < _STALL:
+        homes, T = _draw_block(rng, U, V, lo, hi)
+        for t, inside in zip(T, _memberships(T, homes, hreps)):
+            if None not in inside and full[_region(*inside)]:
+                cls = None  # decided, and its region is full
+            else:
+                cls = _settle(t, U, V, inside, full)
+            if cls is None:
+                stall += 1
+                if stall == _STALL:
+                    break
+                continue
+            r = _region(cls[0], cls[1])
+            got[r] += 1
+            full[r] = got[r] >= want[r]
+            stall = 0
+            out.append((t, *cls[:4]))
+            if all(full):
+                break
     return out, known
-
-
-def _sigma_cached(ts, in_self, in_other, proj_self, rho):
-    """sigma_{U;V} at a stacked (a, b) index point from cached memberships."""
-    if in_self:
-        return ts
-    if in_other:
-        return proj_self
-    out = np.zeros(ts.shape[0])
-    out[-1] = -float(rho)
-    return out
 
 
 def _sampled_sup(U, V, rho, plan, b=None):
@@ -161,17 +199,17 @@ def _sampled_sup(U, V, rho, plan, b=None):
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
-    gaps = []
     points, known = _sample_index_points(U, V, plan)
-    for ts, in_u, in_v, proj_u, proj_v in points:
-        if b is not None:
-            ts, proj_u, proj_v = (
-                np.append(x, float(b)) for x in (ts, proj_u, proj_v)
-            )
-        left = _sigma_cached(ts, in_u, in_v, proj_u, rho)
-        right = _sigma_cached(ts, in_v, in_u, proj_v, rho)
-        gaps.append(float(np.linalg.norm(left - right)))
-    return max(gaps), len(gaps), known
+    # sigma_{U;V}(t) - sigma_{V;U}(t) is 0 unless t is in exactly one set:
+    # then it is t - proj_v (t in U) or proj_u - t (t in V), b - b = 0 last
+    D = np.array(
+        [t - pv if in_u else pu - t for t, in_u, in_v, pu, pv in points if in_u != in_v]
+    ).reshape(-1, U.dim)
+    if b is not None:
+        D = np.pad(D, ((0, 0), (0, 1)))
+    # math.sqrt(x.dot(x)) bit for bit, np.linalg.norm's arithmetic
+    gaps = np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
+    return float(gaps.max(initial=0.0)), len(points), known
 
 
 def _two_sided(bound, measured, context):

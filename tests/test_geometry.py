@@ -490,6 +490,27 @@ class TestBatchedSubsetsMatchLoop:
         want = loop_hrep_vertices(rows)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
+    def test_hrep_many_candidates_at_one_vertex(self):
+        """A cone over a 14-gon, capped: its apex solves all C(14, 3) = 364
+        subsets of cone rows, to within rounding, so the duplicates span
+        several blocks of the batched deduplication."""
+        theta = 2 * np.pi * np.arange(14) / 14
+        cone = np.column_stack([-np.cos(theta), -np.sin(theta), np.ones(14), np.zeros(14)])
+        rows = np.vstack([cone, [0.0, 0.0, -1.0, -1.0]])
+        got = geo.enumerate_hrep_vertices(rows)
+        want = loop_hrep_vertices(rows)
+        assert len(got) == 15
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    def test_hrep_vertices_closer_than_the_merge_distance(self):
+        # cutting the unit square's corner at x + y >= 3e-8 leaves two
+        # vertices 4.2e-8 apart: they merge into the first
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, -1.0],
+                         [0.0, -1.0, -1.0], [1.0, 1.0, 3e-8]])
+        got = geo.enumerate_hrep_vertices(rows)
+        assert len(got) == 4
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in loop_hrep_vertices(rows)]
+
     def test_hrep_all_singular(self):
         rows = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0], [-1.0, -1.0, -3.0], [0.0, 0.0, -1.0]])
         assert geo.enumerate_hrep_vertices(rows) == loop_hrep_vertices(rows) == []

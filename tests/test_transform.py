@@ -44,24 +44,25 @@ class TestEvalSigma:
             tf.eval_sigma_uv(np.zeros(2), U, U, b=0.0, rho=0.0)
 
     def test_multi_cases(self):
-        """Stacked (t, s) rows through the sampler's path: _classify, then
-        _sigma_cached."""
+        """Stacked (t, s) rows through the sampler's path: _classify's
+        memberships and the one projection sigma_{U;V} reads."""
         U = unit_square()
         V = U.translated([3.0, 0.0])
 
-        def sigma(ts):
-            ts = np.array(ts)
-            in_u, in_v, proj_u = tf._classify(ts, U, V)[:3]
-            return tf._sigma_cached(ts, in_u, in_v, proj_u, 0.7)
+        def classify(ts):
+            return tf._classify(np.array(ts), U, V)
 
-        assert sigma([0.5, 0.5]) == pytest.approx([0.5, 0.5])
-        assert sigma([3.5, 0.5]) == pytest.approx([1.0, 0.5], abs=1e-7)
-        assert sigma([9.0, 9.0]) == pytest.approx([0.0, -0.7])
+        assert classify([0.5, 0.5])[:2] == (True, False)
+        in_u, in_v, proj_u = classify([3.5, 0.5])[:3]
+        assert (in_u, in_v) == (False, True)
+        assert proj_u == pytest.approx([1.0, 0.5], abs=1e-7)
+        assert classify([9.0, 9.0])[:2] == (False, False)
 
 
 def eager_sample_index_points(U, V, plan):
-    """The sampler with both projections made for every point: the
-    reference the lazy sampler must match bit for bit."""
+    """The sampler with both projections made for every point, drawing
+    through the sampler's own block helper: the reference the lazy sampler
+    must match bit for bit."""
 
     def classify(t):
         proj_u, du = project_onto_polytope(t, U)
@@ -84,25 +85,21 @@ def eager_sample_index_points(U, V, plan):
     got = [0, 0, 0, 0]
     stall = 0
     while any(g < w for g, w in zip(got, want)) and stall < 200:
-        mode = rng.integers(0, 3)
-        if mode == 0:
-            t = U.vertices.T @ rng.dirichlet(np.ones(U.vertices.shape[0]))
-        elif mode == 1:
-            t = V.vertices.T @ rng.dirichlet(np.ones(V.vertices.shape[0]))
-        else:
-            t = rng.uniform(lo, hi)
-        cls = classify(t)
-        if cls is None:
-            stall += 1
-            continue
-        in_u, in_v = cls[0], cls[1]
-        region = 0 if (in_u and in_v) else 1 if in_u else 2 if in_v else 3
-        if got[region] < want[region]:
-            got[region] += 1
-            stall = 0
-            out.append((t, *cls))
-        else:
-            stall += 1
+        for t in tf._draw_block(rng, U, V, lo, hi)[1]:
+            cls = classify(t)
+            if cls is None:
+                stall += 1
+            else:
+                in_u, in_v = cls[0], cls[1]
+                region = 0 if (in_u and in_v) else 1 if in_u else 2 if in_v else 3
+                if got[region] < want[region]:
+                    got[region] += 1
+                    stall = 0
+                    out.append((t, *cls))
+                else:
+                    stall += 1
+            if stall == 200 or all(g >= w for g, w in zip(got, want)):
+                break
     return out
 
 
@@ -162,6 +159,154 @@ class TestLazySamplerMatchesEager:
         self.assert_same(unit_square(), point, LEAN_PLAN)
         self.assert_same(point, point, LEAN_PLAN)
         self.assert_same(point, Polytope([[2.0, 0.0]]), LEAN_PLAN)
+
+
+class TestStallAcrossBlocks:
+    """The stall cutoff counts consecutive rejected draws across block
+    boundaries, and sampling stops at the draw that fills the last region."""
+
+    U = unit_square()
+    V = unit_square().translated([3.0, 0.0])
+
+    @pytest.fixture
+    def scripted(self, monkeypatch):
+        """Replaces the random stream by the given points (homes all 2),
+        handed out _BLOCK at a time; returns the start of each block drawn."""
+        blocks = []
+
+        def install(points):
+            T = np.array(points, dtype=float)
+
+            def draw(rng, U, V, lo, hi):
+                start = len(blocks) * tf._BLOCK
+                blocks.append(start)
+                chunk = T[start : start + tf._BLOCK]
+                assert len(chunk) == tf._BLOCK, "script ran out of draws"
+                return [2] * tf._BLOCK, chunk
+
+            monkeypatch.setattr(tf, "_draw_block", draw)
+            return blocks
+
+        return install
+
+    def sampled(self, plan):
+        out = tf._sample_index_points(self.U, self.V, plan)[0]
+        return [t.tolist() for t, *_ in out[8:]]  # after the 8 vertices
+
+    def test_exactly_stall_rejections(self, scripted):
+        in_u, in_v, outside = [0.5, 0.5], [3.5, 0.5], [9.0, 9.0]
+        # one U point fills region 1; 199 rejections; an outside point is
+        # still accepted; 200 more rejections end the sampling before the
+        # V point, which would have been accepted
+        script = [in_u] + [in_u] * 199 + [outside] + [in_u] * 200 + [in_v]
+        script += [in_v] * (-len(script) % tf._BLOCK)
+        assert tf._STALL == 200
+        assert 1 // tf._BLOCK != 199 // tf._BLOCK  # both stall runs span
+        assert 201 // tf._BLOCK != 400 // tf._BLOCK  # a block boundary
+        blocks = scripted(script)
+        assert self.sampled(tf.SamplePlan(counts=(1, 1, 1, 1))) == [in_u, outside]
+        assert len(blocks) == 400 // tf._BLOCK + 1
+
+    def test_last_region_fills_mid_block(self, scripted, monkeypatch):
+        in_u, in_v, edge = [0.5, 0.5], [3.5, 0.5], [0.5, 0.0]
+        blocks = scripted([in_u, in_v] + [edge] * (tf._BLOCK - 2))
+        settled, real = [], tf._settle
+        def recording(t, *args):
+            settled.append(t.tolist())
+            return real(t, *args)
+        monkeypatch.setattr(tf, "_settle", recording)
+        assert self.sampled(tf.SamplePlan(counts=(0, 1, 1, 0))) == [in_u, in_v]
+        assert len(blocks) == 1
+        # the edge midpoint lies in U's facet band, so a walk that went on
+        # would have settled it
+        assert settled[8:] == [in_u, in_v]
+
+    def test_disjoint_squares_stop_across_a_boundary(self, monkeypatch):
+        """Real stream: the last accepted draw is followed by exactly
+        _STALL drawn points before sampling stops, spanning a block boundary."""
+        draws, real = [], tf._draw_block
+        def recording(*args):
+            homes, T = real(*args)
+            draws.extend(T.tolist())
+            return homes, T
+        monkeypatch.setattr(tf, "_draw_block", recording)
+        out = tf._sample_index_points(self.U, self.V, LEAN_PLAN)[0]
+        last = draws.index(out[-1][0].tolist())
+        assert len(draws) == (last + tf._STALL) // tf._BLOCK * tf._BLOCK + tf._BLOCK
+        assert (last + 1) // tf._BLOCK != (last + tf._STALL) // tf._BLOCK
+        eager = eager_sample_index_points(self.U, self.V, LEAN_PLAN)
+        assert [bits(t) for t, *_ in out] == [bits(t) for t, *_ in eager]
+
+
+class TestBlockVerdict:
+    """The block facet verdict is _classify's per-point verdict, and the
+    projections' where it decides."""
+
+    def assert_same(self, U, V, seed=0):
+        hreps = (facets(U), facets(V))
+        rng = np.random.default_rng(seed)
+        all_v = np.vstack([U.vertices, V.vertices])
+        lo, hi = all_v.min(axis=0) - tf._BOX_MARGIN, all_v.max(axis=0) + tf._BOX_MARGIN
+        homes, T = tf._draw_block(rng, U, V, lo, hi)
+        homes = homes + [0] * len(U.vertices) + [1] * len(V.vertices)
+        T = np.vstack([T, all_v])
+        near, band_points = [], []  # within the band of a facet, and beyond it
+        for i, (P, h) in enumerate(zip((U, V), hreps)):
+            if h is not None:
+                band = tf._FACET_BAND * h.scale
+                for n, o in zip(h.normals, h.offsets):
+                    on = np.abs((P.vertices - h.center) @ n - o) < 1e-9 * h.scale
+                    foot = P.vertices[on].mean(axis=0)
+                    near += [foot + f * band * n for f in (-2, 2)]
+                    band_points += [(i, foot + f * band * n) for f in (-0.5, 0.5)]
+        T = np.vstack([T, *near, *(t for _, t in band_points)])
+        homes = homes + [2] * (len(near) + len(band_points))
+        band_points = [i for i, _ in band_points]
+        block = tf._memberships(T, homes, hreps)
+        for j, i in enumerate(band_points):  # left to Wolfe
+            assert block[len(T) - len(band_points) + j][i] is None
+        full = (False, False, True, False)
+        decided = 0
+        for t, home, inside in zip(T, homes, block):
+            home = None if home == 2 else home
+            assert tf._memberships(t[None], [2 if home is None else home], hreps)[0] == inside
+            single = tf._classify(t, U, V, home, full, hreps)
+            plain = tf._classify(t, U, V, home, full)
+            settled = tf._settle(t, U, V, list(inside), full)
+            assert (single is None) == (settled is None)
+            if single is not None:
+                assert single[:2] == settled[:2]
+                for a, b in zip(single[2:4], settled[2:4]):
+                    assert bits(a) == bits(b)
+            if plain is not None:
+                if single is not None:
+                    assert single[:2] == plain[:2]
+                for i in (0, 1):
+                    if inside[i] is not None:
+                        decided += 1
+                        assert inside[i] == plain[i]
+        return decided
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_pairs(self, rng, dim):
+        for seed in range(6):
+            U = random_polytope(rng, dim, max_vertices=7)
+            V = random_polytope(rng, dim, max_vertices=7, center=0.4 * rng.normal(size=dim))
+            assert self.assert_same(U, V, seed) > 0
+
+    def test_one_vertex_sets(self):
+        point = Polytope([[0.5, 0.5]])
+        assert facets(point) is None
+        self.assert_same(point, unit_square())
+        self.assert_same(unit_square(), point)
+
+    def test_sets_without_facets(self, rng):
+        U5 = random_polytope(rng, 5, max_vertices=9)
+        many = Polytope(rng.normal(size=(70, 2)))
+        assert facets(U5) is None and facets(many) is None
+        self.assert_same(U5, U5.translated(0.3 * rng.normal(size=5)))
+        self.assert_same(many, unit_square())
+        self.assert_same(unit_square(), many)
 
 
 class TestClassifyWithFacets:
