@@ -3,10 +3,11 @@
 The eps-argmin of a solvable problem is the H-polytope {feasible rows} plus
 the level row <c, x> <= nu + eps.  The set metrics take it, once, as the
 hull of its vertices cut by a box wide enough to change no distance they
-take (_polytopes), and then project onto polytopes only.  The truncated
+take (_polytopes), and project onto that hull only.  The truncated
 Hausdorff estimator reports a certified lower bound (candidate-point maxima
 under-estimate an excess, so a theorem bound dominating even the lower bound
-is the conservative check direction) together with an exactness flag.
+is the conservative check direction) together with an exactness flag; its
+boundary candidates are ray exits read off the set's own rows.
 """
 
 import numpy as np
@@ -25,15 +26,9 @@ from .geometry import (
     enumerate_hrep_vertices,
     project_onto_polytope,
 )
-from .model import (
-    LsioProblem,
-    RobustProblem,
-    _stacked_rows,
-    constraintwise_distance,
-    robust_counterpart,
-)
+from .model import LsioProblem, RobustProblem, constraintwise_distance
 from .report import CertificateReport
-from .stability import augment_with_slack_row, check_interior_solvable, distance_to_infeasibility
+from .stability import ValueLipschitzChecker
 
 
 @dataclass(frozen=True)
@@ -96,18 +91,18 @@ def _eps_argmin_from(cost, rows, res: lpmod.SolveResult, eps: float) -> EpsArgmi
 
 
 def _polytopes(sets, r: float):
-    """Each set as (Polytope, seed), seed the point its boundary walk starts
-    from: a Polytope as itself with its vertex mean, an EpsArgmin as the
-    hull of its vertices cut by the box |y_i| <= R, with its witness.
+    """Each set as (Polytope, rows, seed): a Polytope as itself with no rows
+    and its vertex mean, an EpsArgmin as the hull of its vertices cut by the
+    box |y_i| <= R, with its own rows and its witness.
 
     The box changes no distance the estimators take.  Each is from a point x
-    with ||x|| <= rho = max(r, W), W the largest seed norm: the anchor that
-    replaces a seed outside the r-ball is its projection from the r-sphere
-    along the seed's own ray, within ||seed|| of the origin.  A projection
-    of x onto a set holding the seed w is within ||x|| + ||x - w|| <=
-    2 rho + W = R of the origin, so inside the box.  The box's own vertices
-    have norm >= R > r, so an unbounded set never reads as exact.  The box
-    rows are scaled into [-1, 1], which leaves the feasibility tolerance of
+    with ||x|| <= rho = max(r, W), W the largest seed norm.  A projection of
+    x onto a set holding the seed w is within ||x|| + ||x - w|| <= 2 rho + W
+    = R of the origin, so inside the box; so is the min-norm point, within
+    W.  The box's own vertices have norm >= R > r, so an unbounded set never
+    reads as exact, and its rows never bind inside the r-ball, so the set's
+    own rows describe the boxed hull there.  The box rows are scaled into
+    [-1, 1], which leaves the feasibility tolerance of
     enumerate_hrep_vertices (relative to the largest entry) as it is for
     the set's own rows.
     """
@@ -117,36 +112,42 @@ def _polytopes(sets, r: float):
     w = 1.0 / max(1.0, R)
     box = [np.append(s * w * e, -R * w) for e in np.eye(sets[0].dim) for s in (1.0, -1.0)]
     return [
-        (Polytope(np.array(enumerate_hrep_vertices(np.vstack([S.rows, *box]))))
-         if isinstance(S, EpsArgmin) else S, x)
+        (Polytope(np.array(enumerate_hrep_vertices(np.vstack([S.rows, *box])))), S.rows, x)
+        if isinstance(S, EpsArgmin) else (S, None, x)
         for S, x in zip(sets, seeds)
     ]
 
 
-def _truncated_excess(C: Polytope, seed, D: Polytope, r: float):
-    """(lower bound of e(C cap rB, D), exact flag)."""
+def _truncated_excess(C: Polytope, rows, seed, D: Polytope, r: float):
+    """(lower bound of e(C cap rB, D), exact flag).
+
+    Exact when every vertex of C lies in the r-ball.  Otherwise the
+    candidates add an anchor in C cap rB, the seed or else C's min-norm
+    point (beyond the ball it shows C cap rB empty: an exact 0), and its
+    exits along seeded rays, read off C's rows (a Polytope has none:
+    ValueError).  They lie in C cap rB up to rounding.
+    """
     candidates = [v for v in C.vertices if np.linalg.norm(v) <= r + 1e-12]
     exact = len(candidates) == len(C.vertices)
     if not exact:
-        # boundary samples of C cap sphere(r): walk rays from an interior
-        # anchor and bisect for the last point in C with norm <= r
-        rng = np.random.default_rng(_SEED)
+        if rows is None:
+            raise ValueError("a Polytope must lie in the r-ball; pass an EpsArgmin")
         anchor = seed
         if np.linalg.norm(anchor) > r:
-            anchor = project_onto_polytope(anchor * (r / np.linalg.norm(anchor)), C)[0]
-        dirs = rng.standard_normal((_DIRECTION_COUNT, C.dim))
+            anchor = project_onto_polytope(np.zeros(C.dim), C)[0]
+            if np.linalg.norm(anchor) > r:
+                return 0.0, True
+        dirs = np.random.default_rng(_SEED).standard_normal((_DIRECTION_COUNT, C.dim))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        for u in dirs:
-            lo, hi = 0.0, 4.0 * r
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                x = anchor + mid * u
-                if np.linalg.norm(x) <= r and project_onto_polytope(x, C)[1] <= 1e-7:
-                    lo = mid
-                else:
-                    hi = mid
-            candidates.append(anchor + lo * u)
-        candidates.append(np.asarray(anchor, dtype=float))
+        A, b = rows[:, :-1], rows[:, -1]
+        slack = np.maximum(A @ anchor - b, 0.0)
+        rate = dirs @ A.T  # d<a, x>/dt along each ray
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_c = np.where(rate < 0.0, slack / -rate, np.inf).min(axis=1)
+        p = dirs @ anchor
+        t_ball = np.sqrt(p * p + max(r * r - anchor @ anchor, 0.0)) - p
+        candidates.extend(anchor + np.minimum(t_c, t_ball)[:, None] * dirs)
+        candidates.append(anchor)
     value = max(project_onto_polytope(x, D)[1] for x in candidates)
     return float(value), exact
 
@@ -159,11 +160,12 @@ def truncated_hausdorff(
     """d-hat_r(C, D) = max of the two truncated excesses.
 
     Exact (estimate=False) whenever all vertices of both sets lie inside the
-    r-ball: the excess of a polytope is then attained at a vertex.
+    r-ball: the excess of a polytope is then attained at a vertex.  A
+    Polytope with a vertex outside the ball raises ValueError.
     """
-    (C, seed_c), (D, seed_d) = _polytopes([C, D], params.r)
-    e_cd, exact_cd = _truncated_excess(C, seed_c, D, params.r)
-    e_dc, exact_dc = _truncated_excess(D, seed_d, C, params.r)
+    (C, rows_c, seed_c), (D, rows_d, seed_d) = _polytopes([C, D], params.r)
+    e_cd, exact_cd = _truncated_excess(C, rows_c, seed_c, D, params.r)
+    e_dc, exact_dc = _truncated_excess(D, rows_d, seed_d, C, params.r)
     value = max(e_cd, e_dc)
     exact = exact_cd and exact_dc
     return TruncatedDistance(value=value, estimate=not exact)
@@ -181,7 +183,7 @@ def d_r_metric(
     value is a certified lower bound of the true maximum.
     """
     r = params.r
-    (C, _), (D, _) = _polytopes([C, D], r)
+    (C, _, _), (D, _, _) = _polytopes([C, D], r)
     dim = C.dim
     pts = []
     if dim <= 3:
@@ -244,26 +246,15 @@ def check_eps_argmin_lipschitz(
     solvable with bounded optimal face, d_nat < eta < distance to
     infeasibility of the augmented system, r0-ball meeting both eps-argmin
     sets, and both optimal values above -r0.  r0 is computed when omitted.
-    V's LP is its robust counterpart as one stack of V's vertex arrays, in
-    U's label order, solved from U's optimal basis (lp.solve's start), as
-    ValueLipschitzChecker.check solves it.
+    U's counterpart, its solve and the distance to infeasibility of the
+    augmented system are ValueLipschitzChecker(rpU)'s, and V's LP is solved
+    as its check solves it.
     """
-    cpU = robust_counterpart(rpU)
-    interior = check_interior_solvable(cpU)
-    if not interior.ok:
-        raise HypothesisViolatedError(f"reference problem: {interior.failing}")
+    checker = ValueLipschitzChecker(rpU)
+    cpU = checker.counterpart
     d_nat = constraintwise_distance(rpU, rpV)
-    if rpV.cost is None:
-        raise ValueError("the perturbed problem needs the fixed-cost form")
-    rows_v = _stacked_rows(rpV, rpU.constraint_sets)
-    lp_v = lpmod.LinearProgram(rpV.cost, rows_v[:, :-1], rows_v[:, -1])
-    res_v = lpmod.solve(lp_v, start=interior.solve_result.active)
-    if res_v.status != lpmod.OPTIMAL:
-        raise HypothesisViolatedError(f"perturbed problem status {res_v.status}")
-
-    rho = interior.slater.rho
-    augmented = augment_with_slack_row(cpU, rho)
-    dist_infeas = distance_to_infeasibility(augmented.rows, require_slater=False)
+    rows_v, res_v = checker._solve(rpV)
+    dist_infeas = checker.constants.dist_infeas
     if eta is None:
         eta = 0.5 * (d_nat + dist_infeas)
     if not d_nat < eta:
@@ -271,7 +262,7 @@ def check_eps_argmin_lipschitz(
     if not eta < dist_infeas:
         raise EtaTooLargeError(f"eta = {eta} >= dist_infeas = {dist_infeas}")
 
-    EU = _eps_argmin_from(cpU.cost, cpU.rows, interior.solve_result, eps)
+    EU = _eps_argmin_from(cpU.cost, cpU.rows, checker.solve_result, eps)
     EV = _eps_argmin_from(rpV.cost, rows_v, res_v, eps)
     nu_u, nu_v = EU.nu, EV.nu
     if r0 is None:

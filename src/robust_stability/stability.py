@@ -115,7 +115,6 @@ class InteriorSolvableResult:
     solve_result: lpmod.SolveResult
     bounded_face: bool
     failing: str  # "" when ok
-    margin: float = 0.0  # the Z- probe's margin; 0.0 unless bounded_face
     d_z: Optional[float] = None  # inradius of Z- at the origin, None if unusable
 
 
@@ -132,14 +131,14 @@ def check_interior_solvable(pi: LsioProblem) -> InteriorSolvableResult:
     """
     slater = lpmod.slater_constant(pi.rows)
     res = lpmod.solve(pi.to_lp())
-    bounded, margin, inradius = False, 0.0, None
+    bounded, inradius = False, None
     failing = ""
     if slater is None:
         failing = "strong Slater condition"
     elif res.status != lpmod.OPTIMAL:
         failing = f"solvability (status {res.status})"
     else:
-        bounded, margin, inradius = _polar_probe(build_Zminus(_canonical(pi)))
+        bounded, _, inradius = _polar_probe(build_Zminus(_canonical(pi)))
         if not bounded:
             failing = "bounded optimal face (origin strictly inside Z-)"
     return InteriorSolvableResult(
@@ -148,7 +147,6 @@ def check_interior_solvable(pi: LsioProblem) -> InteriorSolvableResult:
         solve_result=res,
         bounded_face=bounded,
         failing=failing,
-        margin=margin,
         d_z=None if inradius is None else inradius.value,
     )
 
@@ -258,6 +256,7 @@ class ValueLipschitzChecker:
         interior = check_interior_solvable(self.counterpart)
         if not interior.ok:
             raise HypothesisViolatedError(interior.failing)
+        self.solve_result = interior.solve_result
         self.nu_u = interior.solve_result.value
         self.rho = float(interior.slater.rho)
         # The row <0, x> >= -rho with rho > 0 the Slater constant changes
@@ -265,7 +264,20 @@ class ValueLipschitzChecker:
         # recession cone, so the augmented problem is interior-solvable too.
         self.augmented = augment_with_slack_row(self.counterpart, self.rho)
         self.constants = _stability_constants(self.augmented, self.nu_u, eps, interior)
-        self._active = interior.solve_result.active
+
+    def _solve(self, rpV: RobustProblem):
+        """(rows, optimal solve) of V's counterpart LP, as described above."""
+        if rpV.cost is None:
+            raise ValueError("the perturbed problem needs the fixed-cost form")
+        rows = _stacked_rows(rpV, self.rpU.constraint_sets)
+        lp_v = lpmod.LinearProgram(rpV.cost, rows[:, :-1], rows[:, -1])
+        res_v = lpmod.solve(lp_v, start=self.solve_result.active)
+        if res_v.status != lpmod.OPTIMAL:
+            raise HypothesisViolatedError(
+                f"perturbed problem not solvable (status {res_v.status}) — "
+                "inconsistent with the theorem's guarantee; check inputs"
+            )
+        return rows, res_v
 
     def check(self, rpV: RobustProblem) -> CertificateReport:
         d_nat = constraintwise_distance(self.rpU, rpV)
@@ -273,16 +285,7 @@ class ValueLipschitzChecker:
             raise HypothesisViolatedError(
                 f"d_nat = {d_nat} not below eps = {self.constants.epsilon}"
             )
-        if rpV.cost is None:
-            raise ValueError("the perturbed problem needs the fixed-cost form")
-        rows = _stacked_rows(rpV, self.rpU.constraint_sets)
-        lp_v = lpmod.LinearProgram(rpV.cost, rows[:, :-1], rows[:, -1])
-        res_v = lpmod.solve(lp_v, start=self._active)
-        if res_v.status != lpmod.OPTIMAL:
-            raise HypothesisViolatedError(
-                f"perturbed problem not solvable (status {res_v.status}) — "
-                "inconsistent with the theorem's guarantee; check inputs"
-            )
+        _, res_v = self._solve(rpV)
         measured = abs(self.nu_u - res_v.value)
         bound = self.constants.lipschitz * d_nat
         return CertificateReport.from_values(

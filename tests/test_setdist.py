@@ -80,14 +80,53 @@ class TestTruncatedHausdorff:
         assert td.value == pytest.approx(0.2, abs=1e-10)
 
     def test_truncation_caps_far_vertices(self):
-        # identical near origin, one set has a far vertex outside the ball
-        C = Polytope([[0.0, 0.0], [1.0, 0.0]])
-        D = Polytope([[0.0, 0.0], [1.0, 0.0], [100.0, 0.0]])
+        # the boxes [0, 1] x [-0.5, 0.5] and [0, 100] x [-0.5, 0.5] agree
+        # near the origin; the second has far vertices outside the ball
+        C, D = (box_set(hi, -0.5, 0.5, [0.5, 0.0]) for hi in (1.0, 100.0))
         td = sd.truncated_hausdorff(C, D, self.params(r=2.0, r0=1.0))
         # excess of D cap 2B into C is attained near (2, 0): distance 1
         assert td.estimate  # far vertex forces the sampled path
         assert td.value <= 1.0 + 1e-6
         assert td.value >= 0.9
+
+    @pytest.mark.parametrize("witness", [[10.0, 0.9], [0.0, 0.9]])
+    def test_anchor_lies_in_the_ball(self, witness):
+        # C = [0, 10] x {0.9} and D = [0, 0.5] x {0.9}: C cap B and D cap B
+        # both lie in the other set, so d-hat_1 is 0.  The boundary walk of
+        # C starts inside the ball whether or not its witness does.
+        C = box_set(10.0, 0.9, 0.9, witness)
+        D = box_set(0.5, 0.9, 0.9, [0.0, 0.9])
+        td = sd.truncated_hausdorff(C, D, self.params(r=1.0, r0=0.5))
+        assert td.estimate
+        assert td.value == 0.0
+
+    def test_sets_missing_the_ball_are_exact(self):
+        # [5, oo) and [5, 6] miss the unit ball: both excesses are exactly 0
+        C = sd.EpsArgmin(rows=np.array([[1.0, 5.0]]), epsilon=1.0, nu=0.0, witness=np.array([6.0]))
+        D = sd.EpsArgmin(
+            rows=np.array([[1.0, 5.0], [-1.0, -6.0]]), epsilon=1.0, nu=0.0, witness=np.array([5.5])
+        )
+        td = sd.truncated_hausdorff(C, D, self.params(r=1.0, r0=0.5))
+        assert not td.estimate
+        assert td.value == 0.0
+
+    def test_polytope_outside_the_ball_is_refused(self):
+        # a vertex list has no rows to stop a boundary walk at
+        C = Polytope([[0.0, 0.0], [1.0, 0.0]])
+        D = Polytope([[0.0, 0.0], [1.0, 0.0], [100.0, 0.0]])
+        with pytest.raises(ValueError, match="r-ball"):
+            sd.truncated_hausdorff(C, D, self.params(r=2.0, r0=1.0))
+
+    def test_boundary_walk_makes_no_membership_projections(self, rng, min_norm_point_calls):
+        # an unbounded 3-D pair: per side one min-norm anchor at most, then
+        # one projection per candidate (vertices in the ball, the rays and
+        # the anchor)
+        E, F, r = halfspace_pair(rng, 3, boxed=False)
+        (P, _, _), (Q, _, _) = sd._polytopes([E, F], r)
+        td = sd.truncated_hausdorff(E, F, sd.TruncatedDistParams(r=r, r0=0.5 * r))
+        assert td.estimate
+        bound = 2 * (sd._DIRECTION_COUNT + 2) + len(P.vertices) + len(Q.vertices)
+        assert 0 < min_norm_point_calls[0] <= bound
 
     def test_lower_bounds_full_hausdorff(self, rng):
         for _ in range(20):
@@ -112,7 +151,7 @@ class TestTruncatedHausdorff:
             rows=np.array([[1.0, -5e-8], [1.0, 0.0], [-1.0, -1.0]]),
             epsilon=1.0, nu=0.0, witness=np.zeros(1),
         )
-        [(P, _)] = sd._polytopes([E], 4.0)
+        [(P, _, _)] = sd._polytopes([E], 4.0)
         inside = [v for v in P.vertices if abs(v[0]) <= 4.0]
         assert [v.tolist() for v in inside] == [[0.0], [1.0]]
 
@@ -136,6 +175,33 @@ class TestTruncatedHausdorff:
         assert sd.truncated_hausdorff(C, D, p).value == pytest.approx(
             sd.truncated_hausdorff(D, C, p).value, abs=1e-9
         )
+
+
+def box_set(x_hi, y_lo, y_hi, witness):
+    """[0, x_hi] x [y_lo, y_hi] as an EpsArgmin with the given witness."""
+    rows = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, -x_hi], [0.0, 1.0, y_lo], [0.0, -1.0, -y_hi]])
+    return sd.EpsArgmin(rows=rows, epsilon=1.0, nu=0.0, witness=np.array(witness))
+
+
+def halfspace_pair(rng, n, boxed):
+    """(E, F, r): the eps-argmin sets of a random problem in R^n and of its
+    rows moved by up to 1e-3, and a radius r in [0.5, 3]."""
+    cost = rng.normal(size=n)
+    # <c, x> >= -1 and the level row bound <c, x>; n - 1 halfspaces more
+    # leave a recession direction for n >= 2 (that many meet beyond 0 in
+    # c's orthogonal complement), which the box rows take away
+    a = rng.normal(size=(n - 1, n))
+    rows = np.vstack([
+        np.append(cost, -1.0),
+        np.column_stack([a, -rng.uniform(0.2, 1.0, size=n - 1)]),
+        *([np.append(s * e, -2.0) for e in np.eye(n) for s in (1.0, -1.0)] if boxed else []),
+    ])
+    moved = rows.copy()
+    moved[:, -1] += rng.uniform(-1e-3, 1e-3, size=len(rows))
+    eps = float(rng.uniform(0.1, 0.5))
+    E = sd.eps_argmin(problem(cost, rows), eps)
+    F = sd.eps_argmin(problem(cost, moved), eps)
+    return E, F, float(rng.uniform(0.5, 3.0))
 
 
 class _Halfspaces(NamedTuple):
@@ -168,8 +234,8 @@ def dykstra_truncated_hausdorff(monkeypatch, E, F, r):
     ]
     with monkeypatch.context() as m:
         m.setattr(sd, "project_onto_polytope", project)
-        e_ef, exact_ef = sd._truncated_excess(H[0], E.witness, H[1], r)
-        e_fe, exact_fe = sd._truncated_excess(H[1], F.witness, H[0], r)
+        e_ef, exact_ef = sd._truncated_excess(H[0], E.rows, E.witness, H[1], r)
+        e_fe, exact_fe = sd._truncated_excess(H[1], F.rows, F.witness, H[0], r)
     return max(e_ef, e_fe), not (exact_ef and exact_fe)
 
 
@@ -178,27 +244,9 @@ class TestAgainstDykstra:
         """Bounded and unbounded eps-argmin sets in n = 1..3: the boxed
         vertex hulls give Dykstra's distances on the halfspaces, and the
         same exactness flag."""
-        monkeypatch.setattr(sd, "_DIRECTION_COUNT", 4)  # a ray costs 60 projections
         flags = []
         for i in range(12):
-            n = 1 + i % 3
-            cost = rng.normal(size=n)
-            # <c, x> >= -1 and the level row bound <c, x>; n - 1 halfspaces
-            # more leave a recession direction for n >= 2 (that many meet
-            # beyond 0 in c's orthogonal complement), which the box rows
-            # of every odd i take away
-            a = rng.normal(size=(n - 1, n))
-            rows = np.vstack([
-                np.append(cost, -1.0),
-                np.column_stack([a, -rng.uniform(0.2, 1.0, size=n - 1)]),
-                *([np.append(s * e, -2.0) for e in np.eye(n) for s in (1.0, -1.0)] if i % 2 else []),
-            ])
-            moved = rows.copy()
-            moved[:, -1] += rng.uniform(-1e-3, 1e-3, size=len(rows))
-            eps = float(rng.uniform(0.1, 0.5))
-            E = sd.eps_argmin(problem(cost, rows), eps)
-            F = sd.eps_argmin(problem(cost, moved), eps)
-            r = float(rng.uniform(0.5, 3.0))
+            E, F, r = halfspace_pair(rng, 1 + i % 3, boxed=i % 2 == 1)
             td = sd.truncated_hausdorff(E, F, sd.TruncatedDistParams(r=r, r0=0.5 * r))
             value, estimate = dykstra_truncated_hausdorff(monkeypatch, E, F, r)
             assert td.estimate == estimate
