@@ -2,9 +2,9 @@
 
 Everything here operates on V-representation polytopes (finite vertex lists).
 The workhorse is Wolfe's minimum-norm-point algorithm, an active-set scheme
-whose stopping test is the Frank-Wolfe dual gap; it gives certified, exact
-projections at desk scale, and it is the only projection: an H-polytope is
-projected onto as the hull of its vertices (enumerate_hrep_vertices).
+whose usual stopping test is the Frank-Wolfe dual gap (min_norm_point lists
+the two exits that do not test it); it is the only projection: an H-polytope
+is projected onto as the hull of its vertices (enumerate_hrep_vertices).
 """
 
 import itertools
@@ -26,6 +26,8 @@ _MNP_GAP_TOL = 1e-9
 _MNP_MAX_ITER = 100_000
 _SUBSET_BLOCK = 4096  # d-subsets per stacked solve; ~3 MB of products at k = 64
 _FACET_MAX_SUBSETS = 3 * _SUBSET_BLOCK  # per enumeration in facets(), ~30 ms
+_TIGHT = 1e-9  # a vertex with <w, y> >= 1 - _TIGHT lies on facet y
+_TIE_BAND = 1e-6  # ... and one above 1 - _TIE_BAND but not tight is a tie
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,16 @@ def _affine_minimizer(B):
 def min_norm_point(points: np.ndarray):
     """Wolfe's algorithm: argmin ||x|| over conv(points).
 
-    Returns (x, weights) with weights a full-length convex combination.
-    Termination: <x, x> - min_j <x, p_j> <= _MNP_GAP_TOL * scale (the
-    Frank-Wolfe dual gap certificate); IterationLimitError after
-    _MNP_MAX_ITER major cycles.
+    Returns (x, weights) with weights a full-length convex combination, so
+    x lies in conv(points) on every exit.  Only the first of three exits
+    tests the Frank-Wolfe dual gap g = <x, x> - min_j <x, p_j>:
+    - certified: g <= _MNP_GAP_TOL * scale, scale = max(1, max ||p_j||^2);
+    - stall: the minimizing p_j is already in the active set (exact
+      arithmetic gives g = 0 there, so it takes an affine minimizer that is
+      off by more than the tolerance);
+    - no progress: the minor cycles lowered <x, x> by at most 1e-18 * scale.
+    The last two return x without testing g, which may exceed the
+    tolerance.  IterationLimitError after _MNP_MAX_ITER major cycles.
     """
     P = np.asarray(points, dtype=float)
     k = P.shape[0]
@@ -102,7 +110,7 @@ def min_norm_point(points: np.ndarray):
         if f_prev - dots[j] <= _MNP_GAP_TOL * scale:
             break
         if j in S:
-            break  # numerically stalled; gap is already tiny
+            break  # numerically stalled; the gap is not tested
         S.append(j)
         lam = np.append(lam, 0.0)
         # minor cycles: move to the affine minimizer, dropping vertices that
@@ -139,9 +147,10 @@ def min_norm_point(points: np.ndarray):
 def project_onto_polytope(p, P: Polytope):
     """Euclidean projection of p onto conv(P); returns (q, dist).
 
-    Unique by strict convexity; optimality is certified by the Frank-Wolfe
-    gap inside min_norm_point.  A one-vertex set needs no Wolfe call: Wolfe
-    would return its start point, the same row.
+    Unique by strict convexity; optimality is checked by the Frank-Wolfe
+    gap on min_norm_point's certified exit (its other two exits do not
+    test it).  A one-vertex set needs no Wolfe call: Wolfe would return its
+    start point, the same row.
     """
     p = np.asarray(p, dtype=float)
     if p.shape[0] != P.dim:
@@ -384,7 +393,8 @@ def _polar_probe(P: Polytope):
     if not exact:
         value, estimated = margin / math.sqrt(d), True
     else:
-        best = max((float(np.linalg.norm(y)) for y in Y), default=0.0)
+        # math.sqrt(y.dot(y)) bit for bit, np.linalg.norm's arithmetic
+        best = float(np.sqrt((Y[:, None, :] @ Y[:, :, None])[:, 0, 0]).max(initial=0.0))
         value, estimated = (1.0 / best if best > tol else 0.0), False
     return True, margin, Inradius(value, estimated) if value > 1e-9 else None
 
@@ -421,12 +431,23 @@ class Facets(NamedTuple):
 
 def facets(P: Polytope):
     """Facets of conv(P) from the polar vertices y of {y : <v - c, y> <= 1},
-    c the vertex mean: row y / ||y||, offset 1 / ||y||.  Checked complete:
-    each vertex of the H-polytope boxed at twice P's radius (so no facet
-    goes missing unseen) lies within 1e-9 * scale of a vertex of P, so after
-    the 1e-7 merge the H-polytope lies within 1e-7 + 1e-9 * scale of conv(P).
-    None if not, for dim > 4, k > 64, k <= dim or flat P, and where either
-    enumeration would solve over _FACET_MAX_SUBSETS d-subsets.
+    c the vertex mean: row y / ||y||, offset 1 / ||y||.  Each y is
+    polar-feasible, so every listed facet has all of P within 1e-9 * scale.
+
+    Checked complete one of two ways.  First by counting ridges
+    (_ridges_close): when every facet has exactly dim tight vertices (each
+    within 1e-9 * scale of its hyperplane), none lies in the tie band, and
+    each (dim-1)-subset of a facet's tight set lies in exactly two listed
+    facets, the simplices close up into the boundary; as a polytope's facet
+    graph is connected, no facet is missing, and each listed one is a facet
+    of conv(P) to within 1e-9 * scale.  Otherwise (non-simplicial facets, a
+    vertex in the tie band, another count) each vertex of the H-polytope
+    boxed at twice P's radius (so no facet goes missing unseen) must lie
+    within 1e-9 * scale of a vertex of P, so after the 1e-7 merge the
+    H-polytope lies within 1e-7 + 1e-9 * scale of conv(P).  None if neither
+    holds, for dim > 4, k > 64, k <= dim or flat P, and where the polar
+    enumeration, or the boxed one after a failed ridge count, would solve
+    over _FACET_MAX_SUBSETS d-subsets.
     """
     k, d = P.vertices.shape
     if d > 4 or k > 64 or k <= d or math.comb(k, d) > _FACET_MAX_SUBSETS:
@@ -435,10 +456,15 @@ def facets(P: Polytope):
     W = P.vertices - c
     Y = _polar_vertices(W)
     Y = Y[np.unique(Y.round(9), axis=0, return_index=True)[1]]
-    if not len(Y) or math.comb(len(Y) + 2 * d, d) > _FACET_MAX_SUBSETS:
+    if not len(Y):
         return None
     off = 1.0 / np.linalg.norm(Y, axis=1)
     scale = float(off.max(initial=1.0))
+    found = Facets(c, Y * off[:, None], off, scale)
+    if _ridges_close(W @ Y.T, d):
+        return found
+    if math.comb(len(Y) + 2 * d, d) > _FACET_MAX_SUBSETS:
+        return None
     box = 2.0 * max(1.0, float(np.max(np.linalg.norm(W, axis=1))))
     rows = np.vstack(
         [np.column_stack([-Y, np.full(len(Y), -1.0)])]
@@ -448,7 +474,26 @@ def facets(P: Polytope):
     near = np.linalg.norm(X[:, None, :] - W, axis=2).min(axis=1, initial=np.inf)
     if not len(X) or near.max() > 1e-9 * scale:
         return None
-    return Facets(c, Y * off[:, None], off, scale)
+    return found
+
+
+def _ridges_close(G, d):
+    """Do the facets y, with G[i, f] = <w_i, y_f> over the vertices w_i,
+    form a closed pseudomanifold of (d-1)-simplices?  Vertex i is tight on
+    facet f for G >= 1 - _TIGHT and must not lie in the tie band between
+    that and 1 - _TIE_BAND; each facet has exactly d tight vertices, and
+    each (d-1)-subset of them (a ridge) lies in exactly two facets."""
+    tight = G >= 1.0 - _TIGHT
+    if (G > 1.0 - _TIE_BAND).sum() != tight.sum() or (tight.sum(axis=0) != d).any():
+        return False
+    T = tight.T.nonzero()[1].reshape(-1, d)  # each facet's vertices, ascending
+    keys = np.sort(np.concatenate(
+        [np.delete(T, j, axis=1) @ len(G) ** np.arange(d - 1) for j in range(d)]
+    ))
+    # every key twice: equal within each pair, rising between pairs
+    return len(keys) % 2 == 0 and bool(
+        (keys[0::2] == keys[1::2]).all() and (keys[2::2] > keys[1:-1:2]).all()
+    )
 
 
 def enumerate_hrep_vertices(rows):

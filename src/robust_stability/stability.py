@@ -129,6 +129,11 @@ def check_interior_solvable(pi: LsioProblem) -> InteriorSolvableResult:
     inradius d_z, which the stability constants read; the Slater LP and the
     solve run on pi's own row order.
     """
+    return _interior_solvable(pi, _canonical(pi))
+
+
+def _interior_solvable(pi: LsioProblem, canon: LsioProblem) -> InteriorSolvableResult:
+    """check_interior_solvable(pi) with canon = _canonical(pi) given."""
     slater = lpmod.slater_constant(pi.rows)
     res = lpmod.solve(pi.to_lp())
     bounded, inradius = False, None
@@ -138,7 +143,7 @@ def check_interior_solvable(pi: LsioProblem) -> InteriorSolvableResult:
     elif res.status != lpmod.OPTIMAL:
         failing = f"solvability (status {res.status})"
     else:
-        bounded, _, inradius = _polar_probe(build_Zminus(_canonical(pi)))
+        bounded, _, inradius = _polar_probe(build_Zminus(canon))
         if not bounded:
             failing = "bounded optimal face (origin strictly inside Z-)"
     return InteriorSolvableResult(
@@ -151,10 +156,10 @@ def check_interior_solvable(pi: LsioProblem) -> InteriorSolvableResult:
     )
 
 
-def _boundary_distances(pi: LsioProblem, interior: InteriorSolvableResult):
-    """(canonical problem, distance to infeasibility, inradius of Z- at 0).
+def _boundary_distances(canon: LsioProblem, interior: InteriorSolvableResult):
+    """(distance to infeasibility, inradius of Z- at 0) of a canonical problem.
 
-    interior is check_interior_solvable's passing result for pi, or for pi
+    interior is check_interior_solvable's passing result for it, or for it
     without the augmented problem's zero slack row, which leaves Z-'s
     nonzero points, and so its d_z, as they are.
     """
@@ -162,17 +167,16 @@ def _boundary_distances(pi: LsioProblem, interior: InteriorSolvableResult):
         raise NotInteriorSolvableError(
             "origin not strictly interior to Z-(pi); boundary-case input rejected"
         )
-    canon = _canonical(pi)
-    return canon, dist_origin_to_hset(canon.rows), interior.d_z
+    return dist_origin_to_hset(canon.rows), interior.d_z
 
 
 def distance_to_bd_solvable(pi: LsioProblem) -> float:
     """min(distance to infeasibility, inradius of Z- at the origin)."""
-    interior = check_interior_solvable(pi)
+    canon = _canonical(pi)
+    interior = _interior_solvable(pi, canon)
     if not interior.ok:
         raise NotInteriorSolvableError(interior.failing)
-    _, d_i, d_z = _boundary_distances(pi, interior)
-    return min(d_i, d_z)
+    return min(_boundary_distances(canon, interior))
 
 
 def lipschitz_constant(
@@ -186,7 +190,7 @@ def lipschitz_constant(
     it is not supplied.
     """
     canon = _canonical(pi)
-    interior = check_interior_solvable(canon)
+    interior = _interior_solvable(canon, canon)  # canon is its own canonical copy
     if not interior.ok:
         raise NotInteriorSolvableError(interior.failing)
     if nu is None:
@@ -195,11 +199,11 @@ def lipschitz_constant(
 
 
 def _stability_constants(
-    pi: LsioProblem, nu: float, eps, interior: InteriorSolvableResult
+    canon: LsioProblem, nu: float, eps, interior: InteriorSolvableResult
 ) -> StabilityConstants:
-    """lipschitz_constant for a problem that interior shows interior-solvable
-    (as _boundary_distances takes it)."""
-    canon, dist_infeas, d_z = _boundary_distances(pi, interior)
+    """lipschitz_constant for a canonical problem that interior shows
+    interior-solvable (as _boundary_distances takes it)."""
+    dist_infeas, d_z = _boundary_distances(canon, interior)
     c_norm = float(np.linalg.norm(canon.cost))
 
     dist_bd = min(dist_infeas, d_z)
@@ -263,7 +267,9 @@ class ValueLipschitzChecker:
         # neither the Slater property, the feasible set, the optimum nor the
         # recession cone, so the augmented problem is interior-solvable too.
         self.augmented = augment_with_slack_row(self.counterpart, self.rho)
-        self.constants = _stability_constants(self.augmented, self.nu_u, eps, interior)
+        self.constants = _stability_constants(
+            _canonical(self.augmented), self.nu_u, eps, interior
+        )
 
     def _solve(self, rpV: RobustProblem):
         """(rows, optimal solve) of V's counterpart LP, as described above."""

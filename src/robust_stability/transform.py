@@ -11,13 +11,15 @@ The sampler projects an index point only where sigma reads the projection
 or its membership is not otherwise known.  A vertex or convex combination of
 U's vertices lies in U (likewise for V).  Other memberships are read off
 geometry.facets: a point beyond _FACET_BAND * scale of a facet hyperplane is
-outside, one that deep inside every facet is inside; as the facet list is
-checked to lie within 1e-7 + 1e-9 * scale of conv(P), this is exact
-membership.  That it matches the projection's verdict (distance <=
-_MEMBERSHIP_TOL; Wolfe stops on a gap test or a stall) is measured, not
-derived: the transform-identity benchmark pools kept every bit.  Points in
-the band, and sets without a facet list, are projected, U before V, each
-while an allowed index region has room.
+outside, one that deep inside every facet is inside.  The list is checked
+complete: by its ridge count, each listed facet then being a facet of
+conv(P) to within 1e-9 * scale, or else by the boxed H-polytope lying
+within 1e-7 + 1e-9 * scale of conv(P); so this is exact membership.  That
+it matches the projection's verdict (distance <= _MEMBERSHIP_TOL; Wolfe
+stops on a gap test, a stall or no progress) is measured, not derived: the
+transform-identity benchmark pools kept every bit.  Points in the band, and
+sets without a facet list, are projected, U before V, each while an allowed
+index region has room.
 
 Candidates are drawn _BLOCK at a time: per block, one integer draw picks
 each candidate's source (U's hull, V's hull or the box), then one Dirichlet

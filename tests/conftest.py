@@ -88,3 +88,9 @@ def lp_solve_calls(monkeypatch):
 def min_norm_point_calls(monkeypatch):
     """Wolfe solves: geometry.min_norm_point is only called within geometry."""
     return _count_calls(monkeypatch, geometry, "min_norm_point")
+
+
+@pytest.fixture
+def hrep_enumerations(monkeypatch):
+    """enumerate_hrep_vertices calls made within geometry (facets' fallback)."""
+    return _count_calls(monkeypatch, geometry, "enumerate_hrep_vertices")

@@ -760,13 +760,27 @@ def cross_polytope(d):
 
 
 class TestFacets:
-    """facets(P) describes conv(P) exactly, or returns None."""
+    """facets(P) describes conv(P) exactly, or returns None.  Simplicial
+    lists are certified by their ridge count, with no enumeration; the
+    others by enumerating the boxed H-polytope."""
 
-    def assert_describes(self, V, extreme):
+    @pytest.fixture(autouse=True)
+    def count_enumerations(self, hrep_enumerations):
+        self.enumerations = hrep_enumerations
+
+    def listed(self, V, ridge):
+        """facets(V), checked to have taken the ridge path (no enumeration)
+        or the fallback (one)."""
+        self.enumerations[0] = 0
+        F = geo.facets(geo.Polytope(V))
+        assert self.enumerations[0] == (0 if ridge else 1)
+        return F
+
+    def assert_describes(self, V, extreme, ridge):
         """Every vertex meets every facet row; the H-vertices are the rows of
         `extreme` (the extreme points of V); points of V not in `extreme`
         are strictly inside."""
-        F = geo.facets(geo.Polytope(V))
+        F = self.listed(V, ridge)
         assert F is not None
         assert np.allclose(np.linalg.norm(F.normals, axis=1), 1.0)
         assert F.center.tobytes() == V.mean(axis=0).tobytes()
@@ -781,18 +795,57 @@ class TestFacets:
 
     def test_square(self):
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        F = self.assert_describes(square, square)
+        F = self.assert_describes(square, square, ridge=True)
         assert len(F.normals) == 4
 
     def test_cube(self):
         cube = np.array(list(itertools.product([0.0, 2.0], repeat=3)))
-        F = self.assert_describes(cube, cube)
+        F = self.assert_describes(cube, cube, ridge=False)
         assert len(F.normals) == 6  # each facet's polar vertex once
+
+    def test_square_pyramid(self):
+        """Four vertices on the base facet: the fallback lists it."""
+        base = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        V = np.vstack([base, [[0.5, 0.5, 1.0]]])
+        F = self.assert_describes(V, V, ridge=False)
+        assert len(F.normals) == 5
+
+    def test_collinear_boundary_point(self):
+        """A point inside an edge puts three vertices on that facet."""
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        F = self.assert_describes(np.vstack([square, [[0.5, 0.0]]]), square, ridge=False)
+        assert len(F.normals) == 4
+
+    def test_vertex_in_tie_band(self):
+        """A point within the tie band of an edge, but not on it, is neither
+        tight nor clear of it: the fallback decides."""
+        triangle = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
+        for depth in (1e-8, 1e-7):
+            V = np.vstack([triangle, [[1.5, depth]]])
+            F = self.assert_describes(V, triangle, ridge=False)
+            assert len(F.normals) == 3
+        # deeper than the band, the same set is certified by its ridges
+        self.assert_describes(np.vstack([triangle, [[1.5, 1e-4]]]), triangle, ridge=True)
+
+    def test_ridge_count(self):
+        """_ridges_close on 0/1 incidence matrices: a triangle's three edges
+        close; one edge missing or listed twice, or the whole triangle twice
+        (each vertex on four edges), do not."""
+        def incidence(edges):
+            G = np.zeros((3, len(edges)))
+            for f, ends in enumerate(edges):
+                G[list(ends), f] = 1.0
+            return G
+        edges = [(0, 1), (1, 2), (0, 2)]
+        assert geo._ridges_close(incidence(edges), 2)
+        for bad in (edges[:2], edges + edges[:1], edges + edges):
+            assert not geo._ridges_close(incidence(bad), 2)
 
     @pytest.mark.parametrize("d, count", [(2, 4), (3, 8), (4, 16)])
     def test_cross_polytope(self, d, count):
+        """Simplicial, though each vertex lies on 2^(d-1) facets."""
         V = cross_polytope(d)
-        F = self.assert_describes(V, V)
+        F = self.assert_describes(V, V, ridge=True)
         assert len(F.normals) == count
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -801,7 +854,7 @@ class TestFacets:
             outer = 3.0 * cross_polytope(d) + 0.2 * rng.normal(size=(2 * d, d))
             inner = rng.dirichlet(np.ones(2 * d), size=4) @ outer
             V = np.vstack([outer, inner])[rng.permutation(2 * d + 4)]
-            F = self.assert_describes(V, outer)
+            F = self.assert_describes(V, outer, ridge=True)
             slack = F.normals @ (inner - F.center).T - F.offsets[:, None]
             assert slack.max(axis=0).max() < 0.0
 
@@ -829,46 +882,120 @@ class TestFacets:
 
     def test_edge_shared_by_four_facets(self, rng):
         """Four facets of a perturbed 4-D cross-polytope share each edge; the
-        singular subset of their rows gives no point."""
+        singular subset of their rows gives no point in assert_describes'
+        enumeration."""
         V = cross_polytope(4) + 1e-3 * rng.normal(size=(8, 4))
-        F = self.assert_describes(V, V)
+        F = self.assert_describes(V, V, ridge=True)
         assert len(F.normals) == 16
 
-    @pytest.mark.parametrize(
-        "k, listed", [(24, True), (24, False), (40, False), (64, False)]
-    )
+    @pytest.mark.parametrize("k, listed", [(24, True), (40, False), (64, False)])
     def test_subset_cap(self, rng, k, listed):
         """4-D sets with dozens of vertices.  A simplex and k - 5 inner points
-        (five facets) are listed; k points on the sphere give up at once: at
-        k = 24 the polar enumeration fits the cap but about 100 facets put
-        C(F + 8, 4) in the millions (seconds), beyond k = 24 C(k, 4) is over."""
+        (five facets) are listed; beyond k = 24 C(k, 4) is over the cap, and
+        k points on the sphere are given up at once."""
         if listed:
             simplex = np.vstack([np.eye(4), -np.ones(4) / 4])
             V = np.vstack([simplex, rng.dirichlet(np.ones(5), size=k - 5) @ simplex])
         else:
             V = rng.normal(size=(k, 4))
             V /= np.linalg.norm(V, axis=1)[:, None]
+        self.enumerations[0] = 0
         start = time.perf_counter()
         F = geo.facets(geo.Polytope(V))
         assert time.perf_counter() - start < 0.5
+        assert self.enumerations[0] == 0  # no boxed enumeration either way
         assert (F is not None) == listed
         if listed:
-            self.assert_describes(V, simplex)
+            self.assert_describes(V, simplex, ridge=True)
+
+    def test_sphere_points_listed_by_ridges(self, rng):
+        """24 points on the 4-D sphere fit the polar enumeration's cap, and
+        their hull's about 100 simplicial facets are listed by the ridge
+        count within the cap test's 0.5 s; the boxed enumeration, which
+        would run into the millions of subsets, is spared."""
+        V = rng.normal(size=(24, 4))
+        V /= np.linalg.norm(V, axis=1)[:, None]
+        start = time.perf_counter()
+        F = self.listed(V, ridge=True)
+        assert time.perf_counter() - start < 0.5
+        assert_brute_force_facets(F, V)
 
     def test_dropped_polar_vertex(self, rng, monkeypatch):
-        """A facet missing from the polar enumeration fails the check, also
-        where the rest would leave the H-polytope unbounded."""
+        """A facet missing from the polar enumeration fails the ridge count
+        and then the boxed check, also where the rest would leave the
+        H-polytope unbounded."""
         polytopes = [np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])]
         polytopes += [rng.normal(size=(7, d)) for d in (2, 3, 4) for _ in range(3)]
         real = geo._polar_vertices
         for V in polytopes:
+            assert self.listed(V, ridge=True) is not None
             Y = np.unique(real(V - V.mean(axis=0)).round(9), axis=0)
             for drop in range(3):
                 monkeypatch.setattr(
                     geo, "_polar_vertices",
                     lambda W: real(W)[(np.abs(real(W) - Y[drop]) > 1e-8).any(axis=1)],
                 )
-                assert geo.facets(geo.Polytope(V)) is None
+                assert self.listed(V, ridge=False) is None
+            monkeypatch.setattr(geo, "_polar_vertices", real)
+
+
+def assert_brute_force_facets(F, V):
+    """F lists the hyperplanes through d points of V that have all of V on
+    one side, each once: conv(V)'s facets when every one is a simplex.
+    Independent of the polar enumeration and the ridge count."""
+    k, d = V.shape
+    S = np.array(list(itertools.combinations(range(k), d)))
+    # (normal, -offset) spans the null space of the rows [v | 1], v in S
+    h = np.linalg.svd(np.concatenate([V[S], np.ones((len(S), d, 1))], axis=2))[2][:, -1]
+    h /= np.linalg.norm(h[:, :d], axis=1)[:, None]
+    side = V @ h[:, :d].T + h[:, d]
+    h = np.vstack([h[side.max(axis=0) <= 1e-9], -h[side.min(axis=0) >= -1e-9]])
+    listed = np.column_stack([F.normals, -(F.offsets + F.normals @ F.center)])
+    assert len(h) == len(listed)
+    assert np.abs(h[:, None, :] - listed).max(axis=2).min(axis=1).max() <= 1e-9
+
+
+class TestMinNormPointExits:
+    """The gap g = <x, x> - min_j <x, p_j> of x at each of min_norm_point's
+    three exits; only the certified one tests it."""
+
+    @staticmethod
+    def gap(P, x):
+        dots = P @ x
+        return x @ x - dots.min(), int(dots.argmin())
+
+    def test_certified(self):
+        P = np.array([[1.0, -1.0], [1.0, 1.0], [3.0, 0.0]])
+        x, _ = geo.min_norm_point(P)
+        assert self.gap(P, x)[0] <= geo._MNP_GAP_TOL * 9.0
+
+    def test_no_progress(self):
+        """From x = p0 = (1, 0) the step toward p1 lowers <x, x> by about
+        1.6e-17, below the rounding of 1.0, so the cycle makes no progress
+        and x is returned with p2's gap untested (scale is about 2)."""
+        P = np.array([[1.0, 0.0], [1.0 - 4e-9, 1.0], [1.0 - 3e-9, -1.0]])
+        scale = (P * P).sum(axis=1).max()
+        x, w = geo.min_norm_point(P)
+        g, j = self.gap(P, x)
+        assert g > geo._MNP_GAP_TOL * scale  # not the certified exit
+        assert w[j] == 0.0  # p_j is not active: not the stall
+        # Known defect (ROADMAP item 3): this exit may return a gap over the
+        # tolerance; bound it, as certified distance intervals would.
+        assert g <= 1e-8 * scale
+
+    def test_stall(self, monkeypatch):
+        """An affine minimizer off by 1e-6 leaves x = (1, -2e-6) on the
+        segment, and the active p1 minimizes <x, p_j>: the stall exit
+        returns x with its gap untested."""
+        real = geo._affine_minimizer
+        monkeypatch.setattr(geo, "_affine_minimizer", lambda B: real(B) + [1e-6, -1e-6])
+        P = np.array([[1.0, -1.0], [1.0, 1.0]])
+        x, w = geo.min_norm_point(P)
+        g, j = self.gap(P, x)
+        assert w[j] > 0.0  # p_j is active: the stall
+        # Known defect (ROADMAP item 3): the gap is the minimizer's error,
+        # over the tolerance; bound it by that error, |x - (1, 0)| <= 2e-6.
+        assert geo._MNP_GAP_TOL * 2.0 < g <= 1e-5
 
 
 class TestIterationLimits:
