@@ -175,6 +175,13 @@ def _padded(sets):
     return np.concatenate([P.vertices for P in sets])[np.array(index).reshape(-1, k)]
 
 
+def _norms(D):
+    """The Euclidean norms of D's rows along its last axis, math.sqrt(x.dot(x))
+    bit for bit: np.linalg.norm's arithmetic, which einsum and
+    (x * x).sum(-1) are not."""
+    return np.sqrt((D[..., None, :] @ D[..., :, None])[..., 0, 0])
+
+
 def _nearest_bounds(UB, VB):
     """Per pair k of padded blocks UB[k], VB[k], each vertex's distance to
     the nearest vertex of the other set: Wolfe's start, so it bounds that
@@ -184,10 +191,8 @@ def _nearest_bounds(UB, VB):
     D = VB[:, None, :, :] - UB[:, :, None, :]
     D2 = (D * D).sum(axis=3)
     # the argmins use Wolfe's own squared norms, so they pick its start; the
-    # distances are math.sqrt(x.dot(x)) bit for bit (np.linalg.norm's
-    # arithmetic, as project_onto_polytope reports it), which einsum and
-    # (x * x).sum(-1) are not
-    norms = np.sqrt((D[..., None, :] @ D[..., :, None])[..., 0, 0])
+    # distances are project_onto_polytope's bits
+    norms = _norms(D)
     k = np.arange(len(D))[:, None]
     return (
         norms[k, np.arange(D.shape[1]), D2.argmin(axis=2)],
@@ -303,43 +308,54 @@ def _subset_solutions(M, rhs, d):
         yield A[ok], X[..., 0], MX[..., 0]
 
 
-def _polar_bases(W):
-    """(W_S, y) stacked over the d-subsets S of W's rows whose solution y of
-    W_S y = 1 has W y <= 1 + 1e-9: the vertices of the polar
-    {y : <w, y> <= 1, w a row of W}, duplicates kept, with their bases."""
-    k, d = W.shape
-    S, Y = [np.zeros((0, d, d))], [np.zeros((0, d))]
-    for A, X, WX in _subset_solutions(W, np.ones(k), d):
-        feasible = (WX <= 1.0 + 1e-9).all(axis=1)
-        S.append(A[feasible])
-        Y.append(X[feasible])
-    return np.concatenate(S), np.concatenate(Y)
-
-
 def _polar_vertices(W):
-    """The vertices of the polar {y : <w, y> <= 1, w a row of W} as rows,
-    duplicates kept (_polar_bases)."""
-    return _polar_bases(W)[1]
+    """The vertices of the polar {y : <w, y> <= 1, w a row of W} as rows, in
+    combinations order, duplicates kept: the solutions y of W_S y = 1, S a
+    d-subset of W's rows, with W y <= 1 + 1e-9."""
+    k, d = W.shape
+    Y = [np.zeros((0, d))]
+    for _, X, WX in _subset_solutions(W, np.ones(k), d):
+        Y.append(X[(WX <= 1.0 + 1e-9).all(axis=1)])
+    return np.concatenate(Y)
 
 
-def _certified_directions(S, Y):
-    """Per probe direction s e_i, whether some polar vertex y, with basis
-    S_y, certifies max{s y_i : W y <= 1} at y, by the tests lp.solve puts to
-    an optimum: the multipliers lam = s (row i of S_y^-1) are all
-    >= -_PIVOT_TOL (the simplex's stopping test), and w = max(lam, 0)
-    reproduces s e_i as S_y' w and closes the gap sum(w) = s y_i within
-    _CHECK_TOL (lp._failed_check).  y is feasible by _polar_bases.
-    Directions come in _polar_probe's order: i = 0..d-1, s = +1 then -1."""
-    D = np.array([s * e for e in np.eye(Y.shape[1]) for s in (1.0, -1.0)])
-    tol = lpmod._CHECK_TOL
-    with np.errstate(over="ignore", invalid="ignore"):  # inverses of near-singular bases
-        lam = D @ np.linalg.inv(S)  # (vertex, direction, row of the basis)
-        w = np.maximum(lam, 0.0)
-        total = w.sum(axis=2)
-        dual = np.abs(w @ S - D) <= tol * (1.0 + np.abs(D) + w @ np.abs(S))
-        gap = np.abs(Y @ D.T - total) <= tol * (1.0 + np.abs(Y) @ np.abs(D).T + total)
-        ok = (lam >= -lpmod._PIVOT_TOL).all(axis=2) & dual.all(axis=2) & gap
-    return ok.any(axis=0)
+def _polar(W):
+    """(Y, complete): the vertices of the polar Q = {y : <w, y> <= 1, w a
+    row of W} (_polar_vertices), and whether the list is certified to hold
+    them all.  Each y is polar-feasible, so its hyperplane <y, x> = 1 has
+    all of W within 1e-9 of its side; complete, they are conv(W)'s facets,
+    Q is bounded and the origin lies inside conv(W).
+
+    Certified first by counting ridges (_ridges_close) on the raw list: when
+    every y has exactly dim tight rows of W, none lies in the tie band, and
+    each (dim-1)-subset of a tight set lies in exactly two listed y, the
+    simplices close up into the boundary; as a polytope's facet graph is
+    connected, none is missing (and none is listed twice).  Otherwise Y is
+    deduplicated, and each vertex of the H-polytope {x : Y x <= 1} boxed at
+    twice W's radius (so no facet goes missing unseen) must lie within
+    1e-9 * scale of a row of W, scale = max(1, max 1 / ||y||); after the
+    1e-7 merge that H-polytope lies within 1e-7 + 1e-9 * scale of conv(W).
+    Not certified: an empty list, and one whose boxed check would solve
+    over _FACET_MAX_SUBSETS d-subsets.
+    """
+    d = W.shape[1]
+    Y = _polar_vertices(W)
+    if not len(Y):
+        return Y, False
+    if _ridges_close(W @ Y.T, d):
+        return Y, True
+    Y = Y[np.unique(Y.round(9), axis=0, return_index=True)[1]]
+    if math.comb(len(Y) + 2 * d, d) > _FACET_MAX_SUBSETS:
+        return Y, False
+    box = 2.0 * max(1.0, float(np.max(np.linalg.norm(W, axis=1))))
+    rows = np.vstack(
+        [np.column_stack([-Y, np.full(len(Y), -1.0)])]
+        + [np.append(s * e, -box) for e in np.eye(d) for s in (1.0, -1.0)]
+    )
+    X = np.array(enumerate_hrep_vertices(rows)).reshape(-1, d)
+    near = np.linalg.norm(X[:, None, :] - W, axis=2).min(axis=1, initial=np.inf)
+    scale = max(1.0, 1.0 / float(np.linalg.norm(Y, axis=1).min()))
+    return Y, bool(len(X) and near.max() <= 1e-9 * scale)
 
 
 def _probe_lp(W, i, s):
@@ -363,40 +379,32 @@ def _polar_probe(P: Polytope):
     inside and margin are contains_origin_interior's: inside when, for each
     direction s e_i, r = 1 / max{s y_i : y in Q} exceeds the feasibility
     tolerance, and margin the smallest such r.  For dim <= 4 and <= 64
-    nonzero vertices every vertex of Q is enumerated (_polar_bases), and
-    a direction that one of them certifies (_certified_directions) has its
-    maximum at the vertices; any other direction is answered by its LP
-    (_probe_lp).  inradius, by the polar-circumradius identity, is
-    1 / max ||y|| over those vertices; above the limits it is the certified
-    lower bound margin / sqrt(dim), flagged estimated: conv(P) contains the
-    cross-polytope conv{+/- margin e_i}, whose inradius that is.  It is None
-    when the origin is not inside, when Q has no vertex, and when it would
-    be <= 1e-9.
+    nonzero vertices Q's vertices are enumerated; where _polar certifies the
+    list complete, each maximum is read off them and inradius, by the
+    polar-circumradius identity, is 1 / max ||y||.  Otherwise each
+    direction is answered by its LP (_probe_lp) and inradius is the
+    certified lower bound margin / sqrt(dim), flagged estimated: conv(P)
+    contains the cross-polytope conv{+/- margin e_i}, whose inradius that
+    is.  It is None when the origin is not inside, when it would be
+    <= 1e-9, and when the largest ||y|| is within tolerance of 0.
     """
     tol = lpmod._FEAS_TOL
     # a zero vertex (the slack row's, in the augmented Z-) bounds nothing: 0 <= 1
     W = P.vertices[P.vertices.any(axis=1)]
     k, d = W.shape
-    exact = d <= 4 and k <= 64
-    if exact:
-        S, Y = _polar_bases(W)
-        certified = _certified_directions(S, Y)
+    Y, exact = _polar(W) if d <= 4 and k <= 64 else (None, False)
     margin = np.inf
-    for j, (i, s) in enumerate(itertools.product(range(d), (1.0, -1.0))):
-        if exact and certified[j]:
-            r_star = 1.0 / float(np.max(s * Y[:, i]))
-        else:
-            r_star = _probe_lp(W, i, s)
+    for i, s in itertools.product(range(d), (1.0, -1.0)):
+        r_star = 1.0 / float(np.max(s * Y[:, i])) if exact else _probe_lp(W, i, s)
         if r_star <= tol:
             return False, 0.0, None
         margin = min(margin, r_star)
-    if not exact:
-        value, estimated = margin / math.sqrt(d), True
+    if exact:
+        best = float(_norms(Y).max())
+        value = 1.0 / best if best > tol else 0.0
     else:
-        # math.sqrt(y.dot(y)) bit for bit, np.linalg.norm's arithmetic
-        best = float(np.sqrt((Y[:, None, :] @ Y[:, :, None])[:, 0, 0]).max(initial=0.0))
-        value, estimated = (1.0 / best if best > tol else 0.0), False
-    return True, margin, Inradius(value, estimated) if value > 1e-9 else None
+        value = margin / math.sqrt(d)
+    return True, margin, Inradius(value, not exact) if value > 1e-9 else None
 
 
 def inradius_at_origin(P: Polytope) -> Inradius:
@@ -404,8 +412,7 @@ def inradius_at_origin(P: Polytope) -> Inradius:
 
     Reads one _polar_probe: OriginNotInteriorError if the origin is not
     inside, UnboundedPolarError for a probe margin <= 1e-9, and
-    UnboundedPolarError where it gives no inradius (no polar vertex, or a
-    value <= 1e-9).
+    UnboundedPolarError where it gives no inradius.
     """
     inside, margin, inradius = _polar_probe(P)
     if not inside:
@@ -414,8 +421,8 @@ def inradius_at_origin(P: Polytope) -> Inradius:
         raise UnboundedPolarError("origin within tolerance of the boundary")
     if inradius is None:
         raise UnboundedPolarError(
-            "polar polytope has no vertices, or the origin is within tolerance "
-            "of the boundary"
+            "polar vertices within tolerance of 0, or the origin within "
+            "tolerance of the boundary"
         )
     return inradius
 
@@ -431,50 +438,25 @@ class Facets(NamedTuple):
 
 def facets(P: Polytope):
     """Facets of conv(P) from the polar vertices y of {y : <v - c, y> <= 1},
-    c the vertex mean: row y / ||y||, offset 1 / ||y||.  Each y is
-    polar-feasible, so every listed facet has all of P within 1e-9 * scale.
-
-    Checked complete one of two ways.  First by counting ridges
-    (_ridges_close): when every facet has exactly dim tight vertices (each
-    within 1e-9 * scale of its hyperplane), none lies in the tie band, and
-    each (dim-1)-subset of a facet's tight set lies in exactly two listed
-    facets, the simplices close up into the boundary; as a polytope's facet
-    graph is connected, no facet is missing, and each listed one is a facet
-    of conv(P) to within 1e-9 * scale.  Otherwise (non-simplicial facets, a
-    vertex in the tie band, another count) each vertex of the H-polytope
-    boxed at twice P's radius (so no facet goes missing unseen) must lie
-    within 1e-9 * scale of a vertex of P, so after the 1e-7 merge the
-    H-polytope lies within 1e-7 + 1e-9 * scale of conv(P).  None if neither
-    holds, for dim > 4, k > 64, k <= dim or flat P, and where the polar
-    enumeration, or the boxed one after a failed ridge count, would solve
-    over _FACET_MAX_SUBSETS d-subsets.
+    c the vertex mean: row y / ||y||, offset 1 / ||y||, each facet once.
+    Each y is polar-feasible, so every listed facet has all of P within
+    1e-9 * scale.  The list is complete as _polar certifies it: by the ridge
+    count, each listed facet is then a facet of conv(P) to within
+    1e-9 * scale (in combinations order); by the boxed check, the
+    H-polytope lies within 1e-7 + 1e-9 * scale of conv(P) (sorted).  None
+    where _polar does not certify it, for dim > 4, k > 64, k <= dim or flat
+    P, and where the polar enumeration would solve over _FACET_MAX_SUBSETS
+    d-subsets.
     """
     k, d = P.vertices.shape
     if d > 4 or k > 64 or k <= d or math.comb(k, d) > _FACET_MAX_SUBSETS:
         return None
     c = P.vertices.mean(axis=0)
-    W = P.vertices - c
-    Y = _polar_vertices(W)
-    Y = Y[np.unique(Y.round(9), axis=0, return_index=True)[1]]
-    if not len(Y):
+    Y, complete = _polar(P.vertices - c)
+    if not complete:
         return None
     off = 1.0 / np.linalg.norm(Y, axis=1)
-    scale = float(off.max(initial=1.0))
-    found = Facets(c, Y * off[:, None], off, scale)
-    if _ridges_close(W @ Y.T, d):
-        return found
-    if math.comb(len(Y) + 2 * d, d) > _FACET_MAX_SUBSETS:
-        return None
-    box = 2.0 * max(1.0, float(np.max(np.linalg.norm(W, axis=1))))
-    rows = np.vstack(
-        [np.column_stack([-Y, np.full(len(Y), -1.0)])]
-        + [np.append(s * e, -box) for e in np.eye(d) for s in (1.0, -1.0)]
-    )
-    X = np.array(enumerate_hrep_vertices(rows)).reshape(-1, d)
-    near = np.linalg.norm(X[:, None, :] - W, axis=2).min(axis=1, initial=np.inf)
-    if not len(X) or near.max() > 1e-9 * scale:
-        return None
-    return found
+    return Facets(c, Y * off[:, None], off, float(off.max(initial=1.0)))
 
 
 def _ridges_close(G, d):
@@ -529,7 +511,7 @@ def _append_distinct(kept, X):
     for i in range(0, len(X), 64):
         C = X[i : i + 64]
         D = C[:, None, :] - np.concatenate([kept, C])
-        near = (np.sqrt((D[..., None, :] @ D[..., :, None])[..., 0, 0]) <= 1e-7).tolist()
+        near = (_norms(D) <= 1e-7).tolist()
         n, new = len(kept), []
         for j, row in enumerate(near):
             if not any(row[:n]) and not any(row[n + q] for q in new):

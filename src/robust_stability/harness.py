@@ -2,7 +2,8 @@
 
 Subcommands: solve, slater, constants, perturb, transform-check,
 epsopt-check, converge.  Every subcommand prints a JSON report to stdout and
-optionally writes JSON or CSV to --out.  Exit codes: 0 pass, 2 bound
+optionally writes it to --out (perturb: JSON or CSV); a flag that a
+subcommand does not read is a usage error.  Exit codes: 0 pass, 2 bound
 violation, 1 input/usage error.  Reports contain a config echo and the seed
 but no timestamps, so identical inputs give byte-identical output.
 """
@@ -341,25 +342,30 @@ class _UsageError(Exception):
     pass
 
 
+_FLAGS = {"seed": {"type": int}, "trials": {"type": int}, "eps": {"type": float},
+          "format": {"choices": ("json", "csv"), "default": "json"}}
+# per subcommand: its positional argument and the flags it reads; every
+# one takes --out, and a flag it would ignore is a usage error
+_SUBCOMMANDS = {
+    "solve": ("problem", ()),
+    "slater": ("problem", ()),
+    "constants": ("problem", ("eps",)),
+    "perturb": ("config", ("seed", "trials", "eps", "format")),
+    "transform-check": ("config", ("seed",)),
+    "epsopt-check": ("config", ("eps",)),
+    "converge": ("config", ("seed", "trials", "eps")),
+}
+
+
 def _build_parser():
     p = _Parser(prog="robust-stability", add_help=True)
     sub = p.add_subparsers(dest="command")
-
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--trials", type=int, default=None)
-        sp.add_argument("--eps", type=float, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-
-    for name in ("solve", "slater", "constants"):
+    for name, (positional, flags) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("problem")
-        common(sp)
-    for name in ("perturb", "transform-check", "epsopt-check", "converge"):
-        sp = sub.add_parser(name)
-        sp.add_argument("config")
-        common(sp)
+        sp.add_argument(positional)
+        sp.add_argument("--out")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
     return p
 
 
@@ -582,7 +588,7 @@ def cli(argv=None) -> int:
             raise _UsageError("a subcommand is required")
         report, code = _COMMANDS[args.command](args)
         if args.out:
-            save_report(report, args.out, fmt=args.format)
+            save_report(report, args.out, fmt=getattr(args, "format", "json"))
     except _UsageError as exc:
         sys.stdout.write(report_json({"error": "usage", "message": str(exc)}))
         return 1

@@ -23,6 +23,7 @@ from .errors import (
 )
 from .geometry import (
     Polytope,
+    directed_hausdorff,
     enumerate_hrep_vertices,
     project_onto_polytope,
 )
@@ -125,31 +126,32 @@ def _truncated_excess(C: Polytope, rows, seed, D: Polytope, r: float):
     candidates add an anchor in C cap rB, the seed or else C's min-norm
     point (beyond the ball it shows C cap rB empty: an exact 0), and its
     exits along seeded rays, read off C's rows (a Polytope has none:
-    ValueError).  They lie in C cap rB up to rounding.
+    ValueError).  They lie in C cap rB up to rounding.  The excess is the
+    directed Hausdorff distance from their hull to D, whose early break
+    projects only candidates that can raise it.
     """
     candidates = [v for v in C.vertices if np.linalg.norm(v) <= r + 1e-12]
-    exact = len(candidates) == len(C.vertices)
-    if not exact:
-        if rows is None:
-            raise ValueError("a Polytope must lie in the r-ball; pass an EpsArgmin")
-        anchor = seed
+    if len(candidates) == len(C.vertices):
+        return directed_hausdorff(C, D), True
+    if rows is None:
+        raise ValueError("a Polytope must lie in the r-ball; pass an EpsArgmin")
+    anchor = seed
+    if np.linalg.norm(anchor) > r:
+        anchor = project_onto_polytope(np.zeros(C.dim), C)[0]
         if np.linalg.norm(anchor) > r:
-            anchor = project_onto_polytope(np.zeros(C.dim), C)[0]
-            if np.linalg.norm(anchor) > r:
-                return 0.0, True
-        dirs = np.random.default_rng(_SEED).standard_normal((_DIRECTION_COUNT, C.dim))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        A, b = rows[:, :-1], rows[:, -1]
-        slack = np.maximum(A @ anchor - b, 0.0)
-        rate = dirs @ A.T  # d<a, x>/dt along each ray
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_c = np.where(rate < 0.0, slack / -rate, np.inf).min(axis=1)
-        p = dirs @ anchor
-        t_ball = np.sqrt(p * p + max(r * r - anchor @ anchor, 0.0)) - p
-        candidates.extend(anchor + np.minimum(t_c, t_ball)[:, None] * dirs)
-        candidates.append(anchor)
-    value = max(project_onto_polytope(x, D)[1] for x in candidates)
-    return float(value), exact
+            return 0.0, True
+    dirs = np.random.default_rng(_SEED).standard_normal((_DIRECTION_COUNT, C.dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    A, b = rows[:, :-1], rows[:, -1]
+    slack = np.maximum(A @ anchor - b, 0.0)
+    rate = dirs @ A.T  # d<a, x>/dt along each ray
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_c = np.where(rate < 0.0, slack / -rate, np.inf).min(axis=1)
+    p = dirs @ anchor
+    t_ball = np.sqrt(p * p + max(r * r - anchor @ anchor, 0.0)) - p
+    candidates.extend(anchor + np.minimum(t_c, t_ball)[:, None] * dirs)
+    candidates.append(anchor)
+    return directed_hausdorff(Polytope(candidates), D), False
 
 
 def truncated_hausdorff(

@@ -33,8 +33,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, IndexMismatchError
-from .geometry import Polytope, _hausdorff_max, facets, project_onto_polytope
-from .model import RobustProblem, constraintwise_distance
+from .geometry import Polytope, _hausdorff_max, _norms, facets, project_onto_polytope
+from .model import RobustProblem
 from .report import CertificateReport
 
 _MEMBERSHIP_TOL = 1e-9
@@ -209,9 +209,7 @@ def _sampled_sup(U, V, rho, plan, b=None):
     ).reshape(-1, U.dim)
     if b is not None:
         D = np.pad(D, ((0, 0), (0, 1)))
-    # math.sqrt(x.dot(x)) bit for bit, np.linalg.norm's arithmetic
-    gaps = np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
-    return float(gaps.max(initial=0.0)), len(points), known
+    return float(_norms(D).max(initial=0.0)), len(points), known
 
 
 def _two_sided(bound, measured, context):
@@ -251,18 +249,21 @@ def verify_transform_distance_multi(
 ) -> CertificateReport:
     """Constraint-wise version over (t, s) index points in R^(n+1).
 
-    Per-alpha sups against per-alpha Hausdorff distances; the overall
-    measured sup must equal d_nat two-sided.
+    The overall measured sup over the per-alpha sups must equal d_nat
+    two-sided.  d_nat is one _hausdorff_max over all pairs that reuses the
+    sampler's vertex projections, as verify_transform_distance does.
     """
     if set(rpU.constraint_sets) != set(rpV.constraint_sets):
         raise IndexMismatchError("constraint label sets differ")
-    per_alpha = {}
-    for alpha in sorted(rpU.constraint_sets):
+    per_alpha, pairs, known = {}, [], {}
+    for k, alpha in enumerate(sorted(rpU.constraint_sets)):
         U = rpU.constraint_sets[alpha]
         V = rpV.constraint_sets[alpha]
-        per_alpha[alpha] = _sampled_sup(U, V, rho, plan)[0]
+        per_alpha[alpha], _, seen = _sampled_sup(U, V, rho, plan)
+        pairs.append((U, V))
+        known.update({(k, side): d for (_, side), d in seen.items()})
     measured = max(per_alpha.values())
-    return _two_sided(constraintwise_distance(rpU, rpV), measured, {
+    return _two_sided(_hausdorff_max(pairs, known), measured, {
         "check": "transform-distance-multi",
         "seed": plan.seed,
         "rho": float(rho),

@@ -210,6 +210,19 @@ class TestCoupleProject:
             hn.couple_project([1.0], [[[1.0, 1.0]], [[1.0, 1.0], [2.0, 2.0]]])
 
 
+# the flags each CLI subcommand reads besides --out, which all of them take
+READS = {
+    "solve": (),
+    "slater": (),
+    "constants": ("--eps",),
+    "perturb": ("--seed", "--trials", "--eps", "--format"),
+    "transform-check": ("--seed",),
+    "epsopt-check": ("--eps",),
+    "converge": ("--seed", "--trials", "--eps"),
+}
+FLAG_VALUES = {"--seed": "3", "--trials": "2", "--eps": "0.1", "--format": "csv"}
+
+
 class TestCli:
     def run(self, argv, capsys):
         code = hn.cli(argv)
@@ -386,6 +399,25 @@ class TestCli:
         assert code == 0
         assert rep["converged"] is True
         assert len(rep["records"]) == 12
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, reads in READS.items()
+        for flag in FLAG_VALUES if flag not in reads
+    ])
+    def test_ignored_flag_exits_1(self, tmp_path, capsys, command, flag):
+        code = hn.cli([command, self.problem_file(tmp_path), flag, FLAG_VALUES[flag]])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1
+        rep = json.loads(lines[0])
+        assert rep["error"] == "usage" and flag in rep["message"]
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_read_flags_parse(self, command):
+        argv = [command, "input.json", "--out", "report.json"]
+        for flag in READS[command]:
+            argv += [flag, FLAG_VALUES[flag]]
+        args = hn._build_parser().parse_args(argv)
+        assert args.out == "report.json"
 
     def test_no_subcommand_exits_1(self, capsys):
         code, rep = self.run([], capsys)
