@@ -70,19 +70,24 @@ class ConvergenceRecord:
 # problem files
 
 
-def load_problem(path_or_obj) -> RobustProblem:
-    """Load a RobustProblem from the JSON schema (path, file-like, or dict)."""
-    if isinstance(path_or_obj, dict):
-        data = path_or_obj
-    elif hasattr(path_or_obj, "read"):
-        data = json.load(path_or_obj)
-    else:
-        with open(path_or_obj) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path_or_obj}: invalid JSON ({exc})") from exc
-    return problem_from_dict(data)
+def _read_json(path):
+    """The JSON value in the file at path; SchemaError if it does not parse,
+    including a value nested deeper than the decoder's recursion limit."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def load_problem(source, what="problem") -> RobustProblem:
+    """Load a RobustProblem of the JSON schema from a file path or an inline
+    dict; `what` names the source in the error for anything else."""
+    if isinstance(source, str):
+        source = _read_json(source)
+    elif not isinstance(source, dict):
+        raise SchemaError(f"{what} must be a path or an inline object")
+    return problem_from_dict(source)
 
 
 def problem_from_dict(data: dict) -> RobustProblem:
@@ -342,50 +347,11 @@ class _UsageError(Exception):
     pass
 
 
-_FLAGS = {"seed": {"type": int}, "trials": {"type": int}, "eps": {"type": float},
-          "format": {"choices": ("json", "csv"), "default": "json"}}
-# per subcommand: its positional argument and the flags it reads; every
-# one takes --out, and a flag it would ignore is a usage error
-_SUBCOMMANDS = {
-    "solve": ("problem", ()),
-    "slater": ("problem", ()),
-    "constants": ("problem", ("eps",)),
-    "perturb": ("config", ("seed", "trials", "eps", "format")),
-    "transform-check": ("config", ("seed",)),
-    "epsopt-check": ("config", ("eps",)),
-    "converge": ("config", ("seed", "trials", "eps")),
-}
-
-
-def _build_parser():
-    p = _Parser(prog="robust-stability", add_help=True)
-    sub = p.add_subparsers(dest="command")
-    for name, (positional, flags) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name)
-        sp.add_argument(positional)
-        sp.add_argument("--out")
-        for flag in flags:
-            sp.add_argument(f"--{flag}", **_FLAGS[flag])
-    return p
-
-
 def _load_config_file(path) -> dict:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: config must be a JSON object")
     return data
-
-
-def _resolve_problem(source, what="problem"):
-    if isinstance(source, str):
-        return load_problem(source)
-    if isinstance(source, dict):
-        return problem_from_dict(source)
-    raise SchemaError(f"{what} must be a path or an inline object")
 
 
 def _is_number(v) -> bool:
@@ -477,7 +443,7 @@ def _cmd_perturb(args):
     data = _load_config_file(args.config)
     if "problem" not in data:
         raise SchemaError('perturb config needs a "problem" field')
-    rp = _resolve_problem(data["problem"])
+    rp = load_problem(data["problem"])
     config = _experiment_config(data, args)
     reports, summary = run_perturbation_suite(rp, config)
     trials = [
@@ -512,8 +478,8 @@ def _cmd_transform_check(args):
     for key in ("problemU", "problemV"):
         if key not in data:
             raise SchemaError(f'transform-check config needs "{key}"')
-    rpU = _resolve_problem(data["problemU"], "problemU")
-    rpV = _resolve_problem(data["problemV"], "problemV")
+    rpU = load_problem(data["problemU"], "problemU")
+    rpV = load_problem(data["problemV"], "problemV")
     seed = _field(data, "seed", "an integer") if "seed" in data else 0
     if args.seed is not None:
         seed = args.seed
@@ -533,8 +499,8 @@ def _cmd_epsopt_check(args):
     for key in ("problemU", "problemV", "eps"):
         if key not in data:
             raise SchemaError(f'epsopt-check config needs "{key}"')
-    rpU = _resolve_problem(data["problemU"], "problemU")
-    rpV = _resolve_problem(data["problemV"], "problemV")
+    rpU = load_problem(data["problemU"], "problemU")
+    rpV = load_problem(data["problemV"], "problemV")
     eps = args.eps if args.eps is not None else _field(data, "eps", "a number")
     kwargs = {k: _field(data, k, "a number") for k in ("eta", "r", "r0") if k in data}
     rep = check_eps_argmin_lipschitz(rpU, rpV, eps=eps, **kwargs)
@@ -546,7 +512,7 @@ def _cmd_converge(args):
     data = _load_config_file(args.config)
     if "problem" not in data:
         raise SchemaError('converge config needs a "problem" field')
-    rp = _resolve_problem(data["problem"])
+    rp = load_problem(data["problem"])
     config = _experiment_config(data, args)
     records = run_convergence_suite(rp, config)
     first, last = records[0].dist_to_fopt, records[-1].dist_to_fopt
@@ -569,15 +535,31 @@ def _cmd_converge(args):
     return report, 0 if converged else 2
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "slater": _cmd_slater,
-    "constants": _cmd_constants,
-    "perturb": _cmd_perturb,
-    "transform-check": _cmd_transform_check,
-    "epsopt-check": _cmd_epsopt_check,
-    "converge": _cmd_converge,
+_FLAGS = {"seed": {"type": int}, "trials": {"type": int}, "eps": {"type": float},
+          "format": {"choices": ("json", "csv"), "default": "json"}}
+# per subcommand: its handler, its positional argument and the flags it
+# reads; every one takes --out, and a flag it would ignore is a usage error
+_SUBCOMMANDS = {
+    "solve": (_cmd_solve, "problem", ()),
+    "slater": (_cmd_slater, "problem", ()),
+    "constants": (_cmd_constants, "problem", ("eps",)),
+    "perturb": (_cmd_perturb, "config", ("seed", "trials", "eps", "format")),
+    "transform-check": (_cmd_transform_check, "config", ("seed",)),
+    "epsopt-check": (_cmd_epsopt_check, "config", ("eps",)),
+    "converge": (_cmd_converge, "config", ("seed", "trials", "eps")),
 }
+
+
+def _build_parser():
+    p = _Parser(prog="robust-stability", add_help=True)
+    sub = p.add_subparsers(dest="command")
+    for name, (_, positional, flags) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name)
+        sp.add_argument(positional)
+        sp.add_argument("--out")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
+    return p
 
 
 def cli(argv=None) -> int:
@@ -586,7 +568,7 @@ def cli(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required")
-        report, code = _COMMANDS[args.command](args)
+        report, code = _SUBCOMMANDS[args.command][0](args)
         if args.out:
             save_report(report, args.out, fmt=getattr(args, "format", "json"))
     except _UsageError as exc:

@@ -94,17 +94,15 @@ def build_Zminus(pi: LsioProblem) -> Polytope:
     return Polytope(np.vstack([pi.rows[:, :-1], -pi.cost]))
 
 
-def distance_to_infeasibility(rows, require_slater: bool = True) -> float:
+def distance_to_infeasibility(rows) -> float:
     """Smallest data perturbation making the system of stacked rows
     [a_t | b_t] infeasible: d(0, H), H = conv(rows) plus the downward b-ray.
 
     With strong Slater the origin is exterior to H, so the distance to the
-    boundary equals the distance to the set.
+    boundary equals the distance to the set; SlaterFailedError without it.
     """
-    if require_slater:
-        cert = lpmod.slater_constant(rows)
-        if cert is None:
-            raise SlaterFailedError("system has no strong Slater point")
+    if lpmod.slater_constant(rows) is None:
+        raise SlaterFailedError("system has no strong Slater point")
     return dist_origin_to_hset(rows)
 
 
@@ -179,23 +177,18 @@ def distance_to_bd_solvable(pi: LsioProblem) -> float:
     return min(_boundary_distances(canon, interior))
 
 
-def lipschitz_constant(
-    pi: LsioProblem, nu: float = None, eps: float = None
-) -> StabilityConstants:
+def lipschitz_constant(pi: LsioProblem, eps: float = None) -> StabilityConstants:
     """All stability constants for the (already augmented) problem pi.
 
     eps defaults to half the distance to the boundary of the solvable set;
     any caller-supplied eps must satisfy 0 < eps < that distance.  The
-    hypotheses are checked on the canonical copy, whose solve gives nu when
-    it is not supplied.
+    hypotheses are checked on the canonical copy, whose solve gives nu.
     """
     canon = _canonical(pi)
     interior = _interior_solvable(canon, canon)  # canon is its own canonical copy
     if not interior.ok:
         raise NotInteriorSolvableError(interior.failing)
-    if nu is None:
-        nu = interior.solve_result.value
-    return _stability_constants(canon, nu, eps, interior)
+    return _stability_constants(canon, interior.solve_result.value, eps, interior)
 
 
 def _stability_constants(

@@ -25,15 +25,16 @@ Candidates are drawn _BLOCK at a time: per block, one integer draw picks
 each candidate's source (U's hull, V's hull or the box), then one Dirichlet
 draw per vertex set and one uniform draw fill them, so the seeded stream
 differs from a point-by-point draw.  The facet test runs once per block
-and set.  The sampled sup is one batched norm over the points that lie in
-exactly one set, the only ones where the two transformations differ.
+and set.  Where t lies in exactly one set, the only points where the two
+transformations differ, their difference is t's distance to the other set;
+the sampler keeps that distance, not the projected point.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, IndexMismatchError
-from .geometry import Polytope, _hausdorff_max, _norms, facets, project_onto_polytope
+from .geometry import Polytope, _hausdorff_max, facets, project_onto_polytope
 from .model import RobustProblem
 from .report import CertificateReport
 
@@ -100,30 +101,23 @@ def _memberships(T, homes, hreps):
 
 
 def _settle(t, U, V, inside, full):
-    """(in_u, in_v, proj_u, proj_v, dist_u, dist_v) from the memberships
-    known so far, or None if t falls in the membership ambiguity band or
-    only in full regions.  Projects as the module docstring says; an unread
-    projection stays t, its distance None."""
-    proj, dist = [t, t], [None, None]
+    """(in_u, in_v, dist_u, dist_v) from the memberships known so far, or
+    None if t falls in the membership ambiguity band or only in full
+    regions.  Projects as the module docstring says; a distance is None
+    where no projection ran."""
+    dist = [None, None]
     for i, P in enumerate((U, V)):
         if inside[i] is None and _has_room(inside, full):
-            proj[i], dist[i] = project_onto_polytope(t, P)
+            dist[i] = project_onto_polytope(t, P)[1]
             if _MEMBERSHIP_TOL < dist[i] <= _MEMBERSHIP_TOL + _AMBIGUITY_BAND:
                 return None
             inside[i] = dist[i] <= _MEMBERSHIP_TOL
     if not _has_room(inside, full):
         return None
-    for i, P in enumerate((U, V)):  # the projection sigma reads, once
-        if inside[1 - i] and not inside[i] and proj[i] is t:
-            proj[i], dist[i] = project_onto_polytope(t, P)
-    return (*inside, *proj, *dist)
-
-
-def _classify(t, U, V, home=None, full=(False,) * 4, hreps=(None, None)):
-    """_settle for one point t, its memberships read off `hreps` (U's and
-    V's facets or None); t lies in `home` (0: U, 1: V)."""
-    inside = _memberships(t[None], [2 if home is None else home], hreps)[0]
-    return _settle(t, U, V, inside, full)
+    for i, P in enumerate((U, V)):  # the distance sigma reads, once
+        if inside[1 - i] and not inside[i] and dist[i] is None:
+            dist[i] = project_onto_polytope(t, P)[1]
+    return (*inside, *dist)
 
 
 def _draw_block(rng, U, V, lo, hi):
@@ -150,8 +144,8 @@ def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
     counted across blocks, so empty regions (e.g. disjoint sets have no
     U-and-V points) are skipped rather than spun on, and at the draw that
     fills the last region.  Every stall and accepted point is the same as
-    with both projections.  Returns [(t, in_u, in_v, proj_u, proj_v)] and
-    the vertices' projected distances as _hausdorff_max reads them.
+    with both projections.  Returns [(t, in_u, in_v, dist_u, dist_v)] and
+    the vertices' distances to the other set as _hausdorff_max reads them.
     """
     rng = np.random.default_rng(plan.seed)
     hreps = (facets(U), facets(V))
@@ -162,10 +156,10 @@ def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
     for j, (v, inside) in enumerate(zip(all_v, _memberships(all_v, homes, hreps))):
         cls = _settle(v, U, V, inside, (False,) * 4)
         if cls is not None:
-            out.append((v, *cls[:4]))
+            out.append((v, *cls))
             home = homes[j]
-            if cls[5 - home] is not None:  # the distance to the other set
-                known[0, home][j - home * k] = cls[5 - home]
+            if cls[3 - home] is not None:  # the distance to the other set
+                known[0, home][j - home * k] = cls[3 - home]
     lo = all_v.min(axis=0) - _BOX_MARGIN
     hi = all_v.max(axis=0) + _BOX_MARGIN
     want, got, stall = plan.counts, [0, 0, 0, 0], 0
@@ -186,30 +180,24 @@ def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
             got[r] += 1
             full[r] = got[r] >= want[r]
             stall = 0
-            out.append((t, *cls[:4]))
+            out.append((t, *cls))
             if all(full):
                 break
     return out, known
 
 
-def _sampled_sup(U, V, rho, plan, b=None):
+def _sampled_sup(U, V, rho, plan):
     """(sup of ||sigma_{U;V}(t) - sigma_{V;U}(t)|| over the plan, sample
     count, vertex distances of _sample_index_points).
 
-    With b given, index points t in R^n stand for the rows (t, b); otherwise
-    they are already stacked (a, b) rows.
+    The difference is 0 unless t is in exactly one set; then it is t's
+    distance to the other set (and b - b = 0 for stacked rows).
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
     points, known = _sample_index_points(U, V, plan)
-    # sigma_{U;V}(t) - sigma_{V;U}(t) is 0 unless t is in exactly one set:
-    # then it is t - proj_v (t in U) or proj_u - t (t in V), b - b = 0 last
-    D = np.array(
-        [t - pv if in_u else pu - t for t, in_u, in_v, pu, pv in points if in_u != in_v]
-    ).reshape(-1, U.dim)
-    if b is not None:
-        D = np.pad(D, ((0, 0), (0, 1)))
-    return float(_norms(D).max(initial=0.0)), len(points), known
+    dists = [dv if in_u else du for _, in_u, in_v, du, dv in points if in_u != in_v]
+    return max(dists, default=0.0), len(points), known
 
 
 def _two_sided(bound, measured, context):
@@ -231,7 +219,7 @@ def verify_transform_distance(
     give the same bits, so it would add nothing to the check."""
     if U.dim != V.dim:
         raise DimensionMismatchError("U and V have different dimensions")
-    measured, samples, known = _sampled_sup(U, V, rho, plan, b=b)
+    measured, samples, known = _sampled_sup(U, V, rho, plan)
     return _two_sided(_hausdorff_max([(U, V)], known), measured, {
         "check": "transform-distance",
         "seed": plan.seed,

@@ -285,7 +285,7 @@ def test_05_infeasibility_distance_oracles(rng):
         rows = np.array([np.append(rng.normal(size=n), rng.uniform(-2.0, -0.3)) for _ in range(m)])
         if lp.solve(lp.LinearProgram(np.zeros(n), rows[:, :-1], rows[:, -1])).status == lp.INFEASIBLE:
             continue
-        d_qp = st.distance_to_infeasibility(rows, require_slater=False)
+        d_qp = dist_origin_to_hset(rows)
         if d_qp < 1e-6:
             continue
         found = _bisect_infeasibility(rows, n + 1, hi=4.0 * d_qp + 1.0, rng=rng)

@@ -271,6 +271,26 @@ class TestCli:
         assert code == 1
         assert rep["error"] == "SchemaError"
 
+    @pytest.mark.parametrize("nested", ["problem", "config-problem", "config"])
+    def test_deeply_nested_json_exits_1(self, tmp_path, capsys, nested):
+        """5,000 nested lists exceed the JSON decoder's recursion limit, as a
+        problem file, as the problem file a config names, or as the config."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 5000 + "]" * 5000)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"problem": str(deep)}))
+        argv = {
+            "problem": ["solve", str(deep)],
+            "config-problem": ["perturb", str(config)],
+            "config": ["perturb", str(deep)],
+        }[nested]
+        code = hn.cli(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1
+        rep = json.loads(lines[0])
+        assert rep["error"] == "SchemaError" and "invalid JSON" in rep["message"]
+        assert str(deep) in rep["message"]
+
     @pytest.mark.parametrize("name", [["a"], {"a": 1}, 1, None])
     def test_non_string_name_exits_1(self, tmp_path, capsys, name):
         data = toy_problem_dict()

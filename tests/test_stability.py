@@ -56,18 +56,18 @@ class TestBuildingBlocks:
         rows = np.array([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(SlaterFailedError):
             st.distance_to_infeasibility(rows)
-        # same data is accepted when the caller vouches for it
-        # H contains the origin here (no Slater slack), so the distance is 0
-        d = st.distance_to_infeasibility(rows, require_slater=False)
+        # H contains the origin here (no Slater slack), so the distance to
+        # the set is 0
+        d = dist_origin_to_hset(rows)
         assert d == pytest.approx(0.0, abs=1e-8)
 
     def test_dist_to_infeasibility_scaling(self, rng):
         for _ in range(10):
             n = int(rng.integers(1, 4))
             rows = np.array([np.append(rng.normal(size=n), rng.uniform(-2, -0.3)) for _ in range(3)])
-            d = st.distance_to_infeasibility(rows, require_slater=False)
+            d = dist_origin_to_hset(rows)
             s = float(rng.uniform(0.5, 2.0))
-            d2 = st.distance_to_infeasibility(s * rows, require_slater=False)
+            d2 = dist_origin_to_hset(s * rows)
             assert d2 == pytest.approx(s * d, abs=1e-7)
 
     def test_sup_R(self):
@@ -186,7 +186,7 @@ def straight_line_constants(pi, nu, eps):
     import math
 
     c_norm = math.sqrt(sum(v * v for v in np.asarray(pi.cost, dtype=float)))
-    d_i = st.distance_to_infeasibility(pi.rows, require_slater=False)
+    d_i = dist_origin_to_hset(pi.rows)
     from robust_stability.geometry import inradius_at_origin
 
     d_z = inradius_at_origin(st.build_Zminus(pi)).value
@@ -236,8 +236,7 @@ class TestLipschitzConstant:
         prev = None
         for s in (0.5, 1.0, 2.0, 4.0):
             pi = problem([s], [[1.0, 1.0], [-1.0, -2.0]])
-            nu = lp.solve(pi.to_lp()).value
-            c = st.lipschitz_constant(pi, nu=nu, eps=0.25)
+            c = st.lipschitz_constant(pi, eps=0.25)
             if prev is not None:
                 assert c.lipschitz > prev
             prev = c.lipschitz

@@ -44,19 +44,22 @@ class TestEvalSigma:
             tf.eval_sigma_uv(np.zeros(2), U, U, b=0.0, rho=0.0)
 
     def test_multi_cases(self):
-        """Stacked (t, s) rows through the sampler's path: _classify's
-        memberships and the one projection sigma_{U;V} reads."""
+        """Stacked (t, s) rows through the sampler's path: _settle's
+        memberships and the one distance sigma_{U;V} reads, Wolfe's bits."""
         U = unit_square()
         V = U.translated([3.0, 0.0])
 
-        def classify(ts):
-            return tf._classify(np.array(ts), U, V)
+        def settle(ts):
+            t = np.array(ts)
+            inside = tf._memberships(t[None], [2], (None, None))[0]
+            return tf._settle(t, U, V, inside, (False,) * 4)
 
-        assert classify([0.5, 0.5])[:2] == (True, False)
-        in_u, in_v, proj_u = classify([3.5, 0.5])[:3]
+        assert settle([0.5, 0.5])[:2] == (True, False)
+        in_u, in_v, dist_u, _ = settle([3.5, 0.5])
         assert (in_u, in_v) == (False, True)
-        assert proj_u == pytest.approx([1.0, 0.5], abs=1e-7)
-        assert classify([9.0, 9.0])[:2] == (False, False)
+        assert bits(dist_u) == bits(project_onto_polytope(np.array([3.5, 0.5]), U)[1])
+        assert dist_u == pytest.approx(2.5, abs=1e-7)
+        assert settle([9.0, 9.0])[:2] == (False, False)
 
 
 def eager_sample_index_points(U, V, plan):
@@ -65,12 +68,12 @@ def eager_sample_index_points(U, V, plan):
     must match bit for bit."""
 
     def classify(t):
-        proj_u, du = project_onto_polytope(t, U)
-        proj_v, dv = project_onto_polytope(t, V)
+        du = project_onto_polytope(t, U)[1]
+        dv = project_onto_polytope(t, V)[1]
         for d in (du, dv):
             if tf._MEMBERSHIP_TOL < d <= tf._MEMBERSHIP_TOL + tf._AMBIGUITY_BAND:
                 return None
-        return du <= tf._MEMBERSHIP_TOL, dv <= tf._MEMBERSHIP_TOL, proj_u, proj_v
+        return du <= tf._MEMBERSHIP_TOL, dv <= tf._MEMBERSHIP_TOL, du, dv
 
     rng = np.random.default_rng(plan.seed)
     out = []
@@ -104,24 +107,29 @@ def eager_sample_index_points(U, V, plan):
 
 
 def bits(x):
-    return np.asarray(x, dtype=float).tobytes()
+    """The bytes of x, None for a distance that was not projected."""
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
 
 
 class TestLazySamplerMatchesEager:
     """The sampler skips projections whose answer is known; every point,
-    membership and read projection must be the eager sampler's."""
+    membership and distance it projects must be the eager sampler's, and it
+    projects every distance sigma reads."""
 
     def assert_same(self, U, V, plan):
         lazy = tf._sample_index_points(U, V, plan)[0]
         eager = eager_sample_index_points(U, V, plan)
         assert len(lazy) == len(eager)
-        for (t, in_u, in_v, pu, pv), (t0, in_u0, in_v0, pu0, pv0) in zip(lazy, eager):
+        for (t, in_u, in_v, du, dv), (t0, in_u0, in_v0, du0, dv0) in zip(lazy, eager):
             assert bits(t) == bits(t0)
             assert (in_u, in_v) == (in_u0, in_v0)
-            if in_v and not in_u:  # sigma_{U;V} reads proj_u
-                assert bits(pu) == bits(pu0)
-            if in_u and not in_v:  # sigma_{V;U} reads proj_v
-                assert bits(pv) == bits(pv0)
+            if in_v and not in_u:  # sigma_{U;V} reads the distance to U
+                assert du is not None
+            if in_u and not in_v:  # sigma_{V;U} reads the distance to V
+                assert dv is not None
+            for d, d0 in ((du, du0), (dv, dv0)):
+                if d is not None:
+                    assert bits(d) == bits(d0)
         return lazy
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -239,8 +247,8 @@ class TestStallAcrossBlocks:
 
 
 class TestBlockVerdict:
-    """The block facet verdict is _classify's per-point verdict, and the
-    projections' where it decides."""
+    """The block facet verdict is the per-point verdict, and the
+    projections' where it decides; the distances keep their bits."""
 
     def assert_same(self, U, V, seed=0):
         hreps = (facets(U), facets(V))
@@ -268,19 +276,22 @@ class TestBlockVerdict:
         full = (False, False, True, False)
         decided = 0
         for t, home, inside in zip(T, homes, block):
-            home = None if home == 2 else home
-            assert tf._memberships(t[None], [2 if home is None else home], hreps)[0] == inside
-            single = tf._classify(t, U, V, home, full, hreps)
-            plain = tf._classify(t, U, V, home, full)
+            one_row = tf._memberships(t[None], [home], hreps)[0]
+            assert one_row == inside
+            single = tf._settle(t, U, V, one_row, full)
+            no_facets = tf._memberships(t[None], [home], (None, None))[0]
+            plain = tf._settle(t, U, V, no_facets, full)
             settled = tf._settle(t, U, V, list(inside), full)
             assert (single is None) == (settled is None)
             if single is not None:
                 assert single[:2] == settled[:2]
-                for a, b in zip(single[2:4], settled[2:4]):
-                    assert bits(a) == bits(b)
+                assert list(map(bits, single[2:])) == list(map(bits, settled[2:]))
             if plain is not None:
                 if single is not None:
                     assert single[:2] == plain[:2]
+                    for d, d0 in zip(single[2:], plain[2:]):
+                        if d is not None and d0 is not None:
+                            assert bits(d) == bits(d0)
                 for i in (0, 1):
                     if inside[i] is not None:
                         decided += 1
@@ -311,11 +322,11 @@ class TestBlockVerdict:
 
 class TestClassifyWithFacets:
     """Memberships read off the facets are the projections' answers; points
-    within the facet band are projected, and so is the one point sigma reads."""
+    within the facet band are projected, and so is the one distance sigma reads."""
 
     @pytest.fixture
     def projected(self, monkeypatch):
-        """Names of the sets ("U", "V") _classify projects onto, in order."""
+        """Names of the sets ("U", "V") _settle projects onto, in order."""
         log, real = [], tf.project_onto_polytope
         def recording(t, P):
             log.append("U" if P is self.U else "V")
@@ -323,13 +334,16 @@ class TestClassifyWithFacets:
         monkeypatch.setattr(tf, "project_onto_polytope", recording)
         return log
 
-    def classify(self, projected, t, home=None):
-        """_classify with the facets, checked against _classify without."""
+    def classify(self, projected, t, home=2):
+        """_settle with the facets, checked against _settle without; t lies
+        in `home` (0: U, 1: V, 2: neither)."""
         t = np.asarray(t, dtype=float)
+        hreps, full = (facets(self.U), facets(self.V)), (False,) * 4
         projected.clear()
-        got = tf._classify(t, self.U, self.V, home, hreps=(facets(self.U), facets(self.V)))
+        got = tf._settle(t, self.U, self.V, tf._memberships(t[None], [home], hreps)[0], full)
         calls = list(projected)
-        want = tf._classify(t, self.U, self.V, home)
+        no_facets = tf._memberships(t[None], [home], (None, None))[0]
+        want = tf._settle(t, self.U, self.V, no_facets, full)
         assert got[:2] == want[:2]
         if got[1] and not got[0]:
             assert bits(got[2]) == bits(want[2])
@@ -426,6 +440,19 @@ class TestVerifyTransformDistance:
         assert r1.measured == r2.measured
         assert r1.context["samples"] == r2.context["samples"]
 
+
+    @pytest.mark.parametrize("s", [88, 135])
+    def test_measured_is_the_vertex_distance(self, s):
+        """The sampled sup is a Wolfe distance, the same one d_H reads, so
+        where a vertex attains both they agree to the bit (the difference
+        t - proj rounded measured 1-2 ulp away on these pairs)."""
+        rng = np.random.default_rng(s)
+        d = int(rng.integers(1, 5))
+        U = Polytope(rng.normal(size=(d + 2, d)))
+        V = Polytope(rng.normal(size=(d + 2, d)) + 0.5)
+        plan = tf.SamplePlan(seed=0, counts=(5, 5, 5, 5))
+        rep = tf.verify_transform_distance(U, V, b=-1.0, rho=0.5, plan=plan)
+        assert rep.slack == 0.0
 
     def test_wolfe_calls(self, min_norm_point_calls):
         """Pinned Wolfe count of one fixed check.  Projecting every point onto
