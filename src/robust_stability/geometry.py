@@ -275,22 +275,6 @@ def dist_origin_to_hset(G) -> float:
     return float(np.linalg.norm(x))
 
 
-def contains_origin_interior(P: Polytope):
-    """(inside, margin): is there r > 0 with ball(0, r) inside conv(P)?
-
-    margin is the smallest, over directions d = +/- e_i, of the largest r with
-    r*d in conv(P).  The probe runs on the polar body of the inradius: by LP
-    duality, for an interior origin
-
-        max{r : r*d in conv(P)} = 1 / max{<d, y> : <v, y> <= 1, v in P},
-
-    and the right-hand maximum is unbounded for some d exactly when the
-    origin is not interior (the vertices do not positively span R^dim).
-    Both come from _polar_probe's one pass over that body.
-    """
-    return _polar_probe(P)[:2]
-
-
 def _subset_solutions(M, rhs, d):
     """(M[S], X, M @ X) per block of d-subsets S of M's rows, M[S] x = rhs[S].
 
@@ -372,21 +356,27 @@ class Inradius(NamedTuple):
     estimated: bool
 
 
-def _polar_probe(P: Polytope):
-    """(inside, margin, inradius) of conv(P) at the origin, from one pass
-    over the polar body Q = {y : <v, y> <= 1, v a nonzero vertex of P}.
+def contains_origin_interior(P: Polytope):
+    """(inside, margin, inradius): is there r > 0 with ball(0, r) inside
+    conv(P), and how large, from one pass over the polar body
+    Q = {y : <v, y> <= 1, v a nonzero vertex of P}.
 
-    inside and margin are contains_origin_interior's: inside when, for each
-    direction s e_i, r = 1 / max{s y_i : y in Q} exceeds the feasibility
-    tolerance, and margin the smallest such r.  For dim <= 4 and <= 64
-    nonzero vertices Q's vertices are enumerated; where _polar certifies the
-    list complete, each maximum is read off them and inradius, by the
-    polar-circumradius identity, is 1 / max ||y||.  Otherwise each
-    direction is answered by its LP (_probe_lp) and inradius is the
-    certified lower bound margin / sqrt(dim), flagged estimated: conv(P)
-    contains the cross-polytope conv{+/- margin e_i}, whose inradius that
-    is.  It is None when the origin is not inside, when it would be
-    <= 1e-9, and when the largest ||y|| is within tolerance of 0.
+    margin is the smallest, over directions d = +/- e_i, of the largest r
+    with r*d in conv(P).  By LP duality, for an interior origin
+
+        max{r : r*d in conv(P)} = 1 / max{<d, y> : y in Q},
+
+    and the right-hand maximum is unbounded for some d exactly when the
+    origin is not interior (the vertices do not positively span R^dim).
+    inside when each such r exceeds the feasibility tolerance.  For dim <= 4
+    and <= 64 nonzero vertices Q's vertices are enumerated; where _polar
+    certifies the list complete, each maximum is read off them and
+    inradius, by the polar-circumradius identity, is 1 / max ||y||.
+    Otherwise each direction is answered by its LP (_probe_lp) and inradius
+    is the certified lower bound margin / sqrt(dim), flagged estimated:
+    conv(P) contains the cross-polytope conv{+/- margin e_i}, whose
+    inradius that is.  It is None when the origin is not inside, when it
+    would be <= 1e-9, and when the largest ||y|| is within tolerance of 0.
     """
     tol = lpmod._FEAS_TOL
     # a zero vertex (the slack row's, in the augmented Z-) bounds nothing: 0 <= 1
@@ -410,15 +400,12 @@ def _polar_probe(P: Polytope):
 def inradius_at_origin(P: Polytope) -> Inradius:
     """Distance from the (interior) origin to the boundary of conv(P).
 
-    Reads one _polar_probe: OriginNotInteriorError if the origin is not
-    inside, UnboundedPolarError for a probe margin <= 1e-9, and
-    UnboundedPolarError where it gives no inradius.
+    Reads one contains_origin_interior: OriginNotInteriorError if the
+    origin is not inside, UnboundedPolarError where it gives no inradius.
     """
-    inside, margin, inradius = _polar_probe(P)
+    inside, _, inradius = contains_origin_interior(P)
     if not inside:
         raise OriginNotInteriorError("origin is not strictly inside conv(P)")
-    if margin <= 1e-9:
-        raise UnboundedPolarError("origin within tolerance of the boundary")
     if inradius is None:
         raise UnboundedPolarError(
             "polar vertices within tolerance of 0, or the origin within "

@@ -3,7 +3,7 @@
 The eps-argmin of a solvable problem is the H-polytope {feasible rows} plus
 the level row <c, x> <= nu + eps.  The set metrics take it, once, as the
 hull of its vertices cut by a box wide enough to change no distance they
-take (_polytopes), and project onto that hull only.  The truncated
+take (_hulls), and project onto that hull only.  The truncated
 Hausdorff estimator reports a certified lower bound (candidate-point maxima
 under-estimate an excess, so a theorem bound dominating even the lower bound
 is the conservative check direction) together with an exactness flag; its
@@ -12,7 +12,6 @@ boundary candidates are ray exits read off the set's own rows.
 
 import numpy as np
 from dataclasses import dataclass
-from typing import Union
 
 from . import lp as lpmod
 from .errors import (
@@ -51,19 +50,6 @@ _SEED = 0  # of those rays and of d_r_metric's random points
 
 
 @dataclass(frozen=True)
-class TruncatedDistParams:
-    r: float
-    r0: float
-    grid_resolution: float = 0.05
-
-    def __post_init__(self):
-        if not (self.r > self.r0 > 0):
-            raise ValueError("need r > r0 > 0")
-        if self.grid_resolution <= 0:
-            raise ValueError("grid_resolution must be positive")
-
-
-@dataclass(frozen=True)
 class TruncatedDistance:
     value: float  # the certified lower bound
     estimate: bool
@@ -91,58 +77,51 @@ def _eps_argmin_from(cost, rows, res: lpmod.SolveResult, eps: float) -> EpsArgmi
     )
 
 
-def _polytopes(sets, r: float):
-    """Each set as (Polytope, rows, seed): a Polytope as itself with no rows
-    and its vertex mean, an EpsArgmin as the hull of its vertices cut by the
-    box |y_i| <= R, with its own rows and its witness.
+def _hulls(sets, r: float):
+    """Each eps-argmin set as the hull of its vertices cut by the box
+    |y_i| <= R.
 
     The box changes no distance the estimators take.  Each is from a point x
-    with ||x|| <= rho = max(r, W), W the largest seed norm.  A projection of
-    x onto a set holding the seed w is within ||x|| + ||x - w|| <= 2 rho + W
-    = R of the origin, so inside the box; so is the min-norm point, within
-    W.  The box's own vertices have norm >= R > r, so an unbounded set never
-    reads as exact, and its rows never bind inside the r-ball, so the set's
-    own rows describe the boxed hull there.  The box rows are scaled into
-    [-1, 1], which leaves the feasibility tolerance of
+    with ||x|| <= rho = max(r, W), W the largest witness norm.  A projection
+    of x onto a set holding the witness w is within ||x|| + ||x - w|| <=
+    2 rho + W = R of the origin, so inside the box; so is the min-norm
+    point, within W.  The box's own vertices have norm >= R > r, so an
+    unbounded set never reads as exact, and its rows never bind inside the
+    r-ball, so the set's own rows describe the boxed hull there.  The box
+    rows are scaled into [-1, 1], which leaves the feasibility tolerance of
     enumerate_hrep_vertices (relative to the largest entry) as it is for
     the set's own rows.
     """
-    seeds = [S.witness if isinstance(S, EpsArgmin) else S.vertices.mean(axis=0) for S in sets]
-    W = max(float(np.linalg.norm(x)) for x in seeds)
+    W = max(float(np.linalg.norm(S.witness)) for S in sets)
     R = 2.0 * max(r, W) + W
     w = 1.0 / max(1.0, R)
     box = [np.append(s * w * e, -R * w) for e in np.eye(sets[0].dim) for s in (1.0, -1.0)]
     return [
-        (Polytope(np.array(enumerate_hrep_vertices(np.vstack([S.rows, *box])))), S.rows, x)
-        if isinstance(S, EpsArgmin) else (S, None, x)
-        for S, x in zip(sets, seeds)
+        Polytope(np.array(enumerate_hrep_vertices(np.vstack([S.rows, *box])))) for S in sets
     ]
 
 
-def _truncated_excess(C: Polytope, rows, seed, D: Polytope, r: float):
-    """(lower bound of e(C cap rB, D), exact flag).
+def _truncated_excess(E: EpsArgmin, C: Polytope, D: Polytope, r: float):
+    """(lower bound of e(C cap rB, D), exact flag), C the boxed hull of E.
 
     Exact when every vertex of C lies in the r-ball.  Otherwise the
-    candidates add an anchor in C cap rB, the seed or else C's min-norm
+    candidates add an anchor in C cap rB, E's witness or else C's min-norm
     point (beyond the ball it shows C cap rB empty: an exact 0), and its
-    exits along seeded rays, read off C's rows (a Polytope has none:
-    ValueError).  They lie in C cap rB up to rounding.  The excess is the
-    directed Hausdorff distance from their hull to D, whose early break
-    projects only candidates that can raise it.
+    exits along seeded rays, read off E's rows.  They lie in C cap rB up to
+    rounding.  The excess is the directed Hausdorff distance from their hull
+    to D, whose early break projects only candidates that can raise it.
     """
     candidates = [v for v in C.vertices if np.linalg.norm(v) <= r + 1e-12]
     if len(candidates) == len(C.vertices):
         return directed_hausdorff(C, D), True
-    if rows is None:
-        raise ValueError("a Polytope must lie in the r-ball; pass an EpsArgmin")
-    anchor = seed
+    anchor = E.witness
     if np.linalg.norm(anchor) > r:
         anchor = project_onto_polytope(np.zeros(C.dim), C)[0]
         if np.linalg.norm(anchor) > r:
             return 0.0, True
     dirs = np.random.default_rng(_SEED).standard_normal((_DIRECTION_COUNT, C.dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    A, b = rows[:, :-1], rows[:, -1]
+    A, b = E.rows[:, :-1], E.rows[:, -1]
     slack = np.maximum(A @ anchor - b, 0.0)
     rate = dirs @ A.T  # d<a, x>/dt along each ray
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -154,42 +133,34 @@ def _truncated_excess(C: Polytope, rows, seed, D: Polytope, r: float):
     return directed_hausdorff(Polytope(candidates), D), False
 
 
-def truncated_hausdorff(
-    C: Union[EpsArgmin, Polytope],
-    D: Union[EpsArgmin, Polytope],
-    params: TruncatedDistParams,
-) -> TruncatedDistance:
-    """d-hat_r(C, D) = max of the two truncated excesses.
+def truncated_hausdorff(E: EpsArgmin, F: EpsArgmin, r: float) -> TruncatedDistance:
+    """d-hat_r(E, F) = max of the two truncated excesses.
 
     Exact (estimate=False) whenever all vertices of both sets lie inside the
-    r-ball: the excess of a polytope is then attained at a vertex.  A
-    Polytope with a vertex outside the ball raises ValueError.
+    r-ball: the excess of a polytope is then attained at a vertex.
     """
-    (C, rows_c, seed_c), (D, rows_d, seed_d) = _polytopes([C, D], params.r)
-    e_cd, exact_cd = _truncated_excess(C, rows_c, seed_c, D, params.r)
-    e_dc, exact_dc = _truncated_excess(D, rows_d, seed_d, C, params.r)
+    C, D = _hulls([E, F], r)
+    e_cd, exact_cd = _truncated_excess(E, C, D, r)
+    e_dc, exact_dc = _truncated_excess(F, D, C, r)
     value = max(e_cd, e_dc)
     exact = exact_cd and exact_dc
     return TruncatedDistance(value=value, estimate=not exact)
 
 
-def d_r_metric(
-    C: Union[EpsArgmin, Polytope],
-    D: Union[EpsArgmin, Polytope],
-    params: TruncatedDistParams,
-) -> float:
-    """max over ||x|| <= r of |d(x, C) - d(x, D)|, sampled.
+def d_r_metric(E: EpsArgmin, F: EpsArgmin, r: float, grid_resolution: float = 0.05) -> float:
+    """max over ||x|| <= r of |d(x, E) - d(x, F)|, sampled.
 
     Grid plus seeded random points; the integrand is 1-Lipschitz so the
     sampling error is at most grid_resolution * sqrt(dim) / 2.  The returned
     value is a certified lower bound of the true maximum.
     """
-    r = params.r
-    (C, _, _), (D, _, _) = _polytopes([C, D], r)
+    if grid_resolution <= 0:
+        raise ValueError("grid_resolution must be positive")
+    C, D = _hulls([E, F], r)
     dim = C.dim
     pts = []
     if dim <= 3:
-        axis = np.arange(-r, r + params.grid_resolution / 2, params.grid_resolution)
+        axis = np.arange(-r, r + grid_resolution / 2, grid_resolution)
         if axis.size ** dim <= 200_000:
             mesh = np.array(np.meshgrid(*([axis] * dim))).reshape(dim, -1).T
             mesh = mesh[np.linalg.norm(mesh, axis=1) <= r]
@@ -287,7 +258,9 @@ def check_eps_argmin_lipschitz(
         r = 2.0 * r0
     c_norm = float(np.linalg.norm(cpU.cost))
     coeff = eps_argmin_bound(eta, r, eps, c_norm, dist_infeas)
-    td = truncated_hausdorff(EU, EV, TruncatedDistParams(r=r, r0=r0))
+    if not (r > r0 > 0):
+        raise ValueError("need r > r0 > 0")
+    td = truncated_hausdorff(EU, EV, r)
     bound = coeff * d_nat
     return CertificateReport.from_values(
         bound,

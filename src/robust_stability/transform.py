@@ -123,12 +123,14 @@ def _settle(t, U, V, inside, full):
 def _draw_block(rng, U, V, lo, hi):
     """The next _BLOCK candidates of the stream: (homes, points) in draw
     order.  Home 0 (1) is a Dirichlet-weighted convex combination of U's
-    (V's) vertices, home 2 a uniform draw from the box [lo, hi]."""
+    (V's) vertices, exactly the vertex for a one-vertex set (whose weight
+    can read an ulp off 1.0), home 2 a uniform draw from the box [lo, hi]."""
     homes = rng.integers(0, 3, _BLOCK)
     T = np.empty((_BLOCK, len(lo)))
     for home, P in enumerate((U, V)):
         at = homes == home
-        T[at] = rng.dirichlet(np.ones(len(P.vertices)), int(at.sum())) @ P.vertices
+        weights = rng.dirichlet(np.ones(len(P.vertices)), int(at.sum()))
+        T[at] = P.vertices[0] if len(P.vertices) == 1 else weights @ P.vertices
     at = homes == 2
     T[at] = rng.uniform(lo, hi, (int(at.sum()), len(lo)))
     return homes.tolist(), T

@@ -374,7 +374,7 @@ def test_06_inradius_direction_sweep(rng):
         dim = 2 + done % 2
         P = random_polytope(rng, dim, max_vertices=8)
         P = Polytope(P.vertices - P.vertices.mean(axis=0))
-        inside, margin = contains_origin_interior(P)
+        inside, margin, _ = contains_origin_interior(P)
         if not inside or margin < 1e-3:
             continue
         r = inradius_at_origin(P)

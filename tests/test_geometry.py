@@ -344,7 +344,7 @@ class TestInradius:
     def test_scaling_property(self, rng):
         for _ in range(20):
             P = geo.Polytope(rng.normal(size=(7, 2)) + np.sign(rng.normal(size=(7, 2))) * 0.8)
-            inside, _ = geo.contains_origin_interior(P)
+            inside, _, _ = geo.contains_origin_interior(P)
             if not inside:
                 continue
             s = float(rng.uniform(0.5, 3.0))
@@ -551,7 +551,7 @@ DEGENERATE_ZMINUS = [
 class TestContainsOriginInterior:
     def test_degenerate_zminus(self):
         P = geo.Polytope(DEGENERATE_ZMINUS)
-        inside, margin = geo.contains_origin_interior(P)
+        inside, margin, _ = geo.contains_origin_interior(P)
         assert inside and abs(margin - 1.0) <= 1e-12
         assert geo.inradius_at_origin(P) == (0.5, False)
 
@@ -586,23 +586,23 @@ class TestContainsOriginInterior:
             extra = rng.normal(size=(int(rng.integers(0, 8)), d))
             cases.append(geo.Polytope(np.vstack([V, extra])))
         for P in cases:
-            inside, margin = geo.contains_origin_interior(P)
+            inside, margin, _ = geo.contains_origin_interior(P)
             assert inside
             want = 1.0 / max(np.max(np.abs(y)) for y in loop_polar_vertices(P.vertices))
             assert margin == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_square(self):
-        inside, margin = geo.contains_origin_interior(
+        inside, margin, _ = geo.contains_origin_interior(
             geo.Polytope([[1, 1], [1, -1], [-1, 1], [-1, -1]])
         )
         assert inside and margin >= 0.999
 
     def test_lower_dimensional(self):
-        inside, margin = geo.contains_origin_interior(geo.Polytope([[0, 0], [1, 0]]))
+        inside, margin, _ = geo.contains_origin_interior(geo.Polytope([[0, 0], [1, 0]]))
         assert not inside and margin == 0.0
 
     def test_origin_outside(self):
-        inside, margin = geo.contains_origin_interior(geo.Polytope([[1, 1], [2, 1], [1, 2]]))
+        inside, margin, _ = geo.contains_origin_interior(geo.Polytope([[1, 1], [2, 1], [1, 2]]))
         assert not inside and margin == 0.0
 
 
@@ -647,7 +647,7 @@ class TestPolarProbe:
     def test_agrees_with_lp_probe(self, rng):
         verdicts = set()
         for P in self.polytopes(rng):
-            inside, margin = geo.contains_origin_interior(P)
+            inside, margin, _ = geo.contains_origin_interior(P)
             want_inside, want_margin = lp_probe(P)
             assert inside == want_inside
             assert margin == pytest.approx(want_margin, rel=1e-12, abs=0.0)

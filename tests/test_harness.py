@@ -413,6 +413,17 @@ class TestCli:
         rep = json.loads(lines[0])
         assert rep["error"] == "NumericalBreakdownError" and "overflows" in rep["message"]
 
+    @pytest.mark.parametrize("r, r0", [(1.0, 2.0), (2.0, 2.0)])
+    def test_epsopt_check_r_not_above_r0_exits_1(self, tmp_path, capsys, r, r0):
+        cfg = tmp_path / "ec.json"
+        problem = toy_problem_dict()
+        cfg.write_text(json.dumps(
+            {"problemU": problem, "problemV": problem, "eps": 0.1, "r": r, "r0": r0}
+        ))
+        code = hn.cli(["epsopt-check", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().out == '{"error":"ValueError","message":"need r > r0 > 0"}\n'
+
     def test_converge(self, tmp_path, capsys):
         cfg = toy_config(tmp_path, trials=12, magnitudes=[1e-2])
         code, rep = self.run(["converge", str(cfg)], capsys)

@@ -62,20 +62,9 @@ class TestEpsArgmin:
 
 
 class TestTruncatedHausdorff:
-    def params(self, r=5.0, r0=1.0):
-        return sd.TruncatedDistParams(r=r, r0=r0)
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            sd.TruncatedDistParams(r=1.0, r0=2.0)
-        with pytest.raises(ValueError):
-            sd.TruncatedDistParams(r=1.0, r0=0.5, grid_resolution=0.0)
-
     def test_segments_exact(self):
         # [1, 1.5] vs [1.2, 1.5] inside the 5-ball: distance 0.2, exact
-        C = Polytope([[1.0], [1.5]])
-        D = Polytope([[1.2], [1.5]])
-        td = sd.truncated_hausdorff(C, D, self.params())
+        td = sd.truncated_hausdorff(segment(1.0, 1.5), segment(1.2, 1.5), 5.0)
         assert not td.estimate
         assert td.value == pytest.approx(0.2, abs=1e-10)
 
@@ -83,7 +72,7 @@ class TestTruncatedHausdorff:
         # the boxes [0, 1] x [-0.5, 0.5] and [0, 100] x [-0.5, 0.5] agree
         # near the origin; the second has far vertices outside the ball
         C, D = (box_set(hi, -0.5, 0.5, [0.5, 0.0]) for hi in (1.0, 100.0))
-        td = sd.truncated_hausdorff(C, D, self.params(r=2.0, r0=1.0))
+        td = sd.truncated_hausdorff(C, D, 2.0)
         # excess of D cap 2B into C is attained near (2, 0): distance 1
         assert td.estimate  # far vertex forces the sampled path
         assert td.value <= 1.0 + 1e-6
@@ -96,52 +85,56 @@ class TestTruncatedHausdorff:
         # C starts inside the ball whether or not its witness does.
         C = box_set(10.0, 0.9, 0.9, witness)
         D = box_set(0.5, 0.9, 0.9, [0.0, 0.9])
-        td = sd.truncated_hausdorff(C, D, self.params(r=1.0, r0=0.5))
+        td = sd.truncated_hausdorff(C, D, 1.0)
         assert td.estimate
         assert td.value == 0.0
 
     def test_sets_missing_the_ball_are_exact(self):
         # [5, oo) and [5, 6] miss the unit ball: both excesses are exactly 0
         C = sd.EpsArgmin(rows=np.array([[1.0, 5.0]]), epsilon=1.0, nu=0.0, witness=np.array([6.0]))
-        D = sd.EpsArgmin(
-            rows=np.array([[1.0, 5.0], [-1.0, -6.0]]), epsilon=1.0, nu=0.0, witness=np.array([5.5])
-        )
-        td = sd.truncated_hausdorff(C, D, self.params(r=1.0, r0=0.5))
+        td = sd.truncated_hausdorff(C, segment(5.0, 6.0, witness=5.5), 1.0)
         assert not td.estimate
         assert td.value == 0.0
-
-    def test_polytope_outside_the_ball_is_refused(self):
-        # a vertex list has no rows to stop a boundary walk at
-        C = Polytope([[0.0, 0.0], [1.0, 0.0]])
-        D = Polytope([[0.0, 0.0], [1.0, 0.0], [100.0, 0.0]])
-        with pytest.raises(ValueError, match="r-ball"):
-            sd.truncated_hausdorff(C, D, self.params(r=2.0, r0=1.0))
 
     def test_boundary_walk_makes_no_membership_projections(self, rng, min_norm_point_calls):
         # an unbounded 3-D pair: per side one min-norm anchor at most, then
         # one projection per candidate (vertices in the ball, the rays and
         # the anchor)
         E, F, r = halfspace_pair(rng, 3, boxed=False)
-        (P, _, _), (Q, _, _) = sd._polytopes([E, F], r)
-        td = sd.truncated_hausdorff(E, F, sd.TruncatedDistParams(r=r, r0=0.5 * r))
+        P, Q = sd._hulls([E, F], r)
+        td = sd.truncated_hausdorff(E, F, r)
         assert td.estimate
         bound = 2 * (sd._DIRECTION_COUNT + 2) + len(P.vertices) + len(Q.vertices)
         assert 0 < min_norm_point_calls[0] <= bound
 
     def test_lower_bounds_full_hausdorff(self, rng):
-        for _ in range(20):
-            C = Polytope(rng.normal(size=(4, 2)))
-            D = Polytope(rng.normal(size=(4, 2)))
-            td = sd.truncated_hausdorff(C, D, self.params(r=10.0, r0=1.0))
-            assert td.value <= hausdorff(C, D) + 1e-9
+        # the pairs' own radii leave some box corners outside the ball
+        flags = []
+        for i in range(20):
+            E, F, r = halfspace_pair(rng, 1 + i % 3, boxed=True)
+            td = sd.truncated_hausdorff(E, F, r)
+            assert td.value <= hausdorff(*sd._hulls([E, F], r)) + 1e-9
+            flags.append(td.estimate)
+        assert any(flags)
 
     def test_exact_when_vertices_inside(self, rng):
-        for _ in range(10):
-            C = Polytope(rng.normal(size=(4, 2)))
-            D = Polytope(rng.normal(size=(4, 2)))
-            td = sd.truncated_hausdorff(C, D, self.params(r=10.0, r0=1.0))
+        # bounded sets in [-2, 2]^n lie inside the 10-ball, and the box the
+        # hulls are cut by changes no distance
+        for i in range(10):
+            E, F, _ = halfspace_pair(rng, 1 + i % 3, boxed=True)
+            td = sd.truncated_hausdorff(E, F, 10.0)
+            C, D = (Polytope(np.array(enumerate_hrep_vertices(S.rows))) for S in (E, F))
             assert not td.estimate
             assert td.value == pytest.approx(hausdorff(C, D), abs=1e-7)
+
+    def test_exact_path_is_the_hausdorff_of_the_hulls(self, rng):
+        # the exact path is geometry.hausdorff of the two boxed hulls, bit
+        # for bit
+        for i in range(30):
+            E, F, _ = halfspace_pair(rng, 1 + i % 3, boxed=True)
+            td = sd.truncated_hausdorff(E, F, 10.0)
+            assert not td.estimate
+            assert td.value == hausdorff(*sd._hulls([E, F], 10.0))
 
     def test_box_keeps_the_vertices_of_a_bounded_set(self):
         # [0, 1] with a row x >= -5e-8 listed first: its solution -5e-8 is
@@ -151,7 +144,7 @@ class TestTruncatedHausdorff:
             rows=np.array([[1.0, -5e-8], [1.0, 0.0], [-1.0, -1.0]]),
             epsilon=1.0, nu=0.0, witness=np.zeros(1),
         )
-        [(P, _, _)] = sd._polytopes([E], 4.0)
+        [P] = sd._hulls([E], 4.0)
         inside = [v for v in P.vertices if abs(v[0]) <= 4.0]
         assert [v.tolist() for v in inside] == [[0.0], [1.0]]
 
@@ -164,17 +157,23 @@ class TestTruncatedHausdorff:
             sd.eps_argmin(problem(np.ones(5), np.column_stack([np.eye(5), np.full(5, b)])), eps)
             for b in (0.0, -t)
         )
-        td = sd.truncated_hausdorff(E, F, self.params(r=2.0, r0=1.0))
+        td = sd.truncated_hausdorff(E, F, 2.0)
         assert not td.estimate
         assert td.value == pytest.approx(t * np.sqrt(5.0), abs=1e-12)
 
     def test_symmetry(self, rng):
-        C = Polytope(rng.normal(size=(4, 2)))
-        D = Polytope(rng.normal(size=(4, 2)))
-        p = self.params(r=10.0, r0=1.0)
-        assert sd.truncated_hausdorff(C, D, p).value == pytest.approx(
-            sd.truncated_hausdorff(D, C, p).value, abs=1e-9
-        )
+        for i in range(6):
+            E, F, r = halfspace_pair(rng, 1 + i % 3, boxed=i % 2 == 1)
+            assert sd.truncated_hausdorff(E, F, r) == sd.truncated_hausdorff(F, E, r)
+
+
+def segment(lo, hi, witness=None):
+    """[lo, hi] in R^1 as an EpsArgmin of two rows, witnessed by lo unless
+    another witness is given."""
+    rows = np.array([[1.0, lo], [-1.0, -hi]])
+    return sd.EpsArgmin(
+        rows=rows, epsilon=1.0, nu=0.0, witness=np.array([lo if witness is None else witness])
+    )
 
 
 def box_set(x_hi, y_lo, y_hi, witness):
@@ -234,8 +233,8 @@ def dykstra_truncated_hausdorff(monkeypatch, E, F, r):
     ]
     with monkeypatch.context() as m:
         m.setattr(sd, "project_onto_polytope", project)
-        e_ef, exact_ef = sd._truncated_excess(H[0], E.rows, E.witness, H[1], r)
-        e_fe, exact_fe = sd._truncated_excess(H[1], F.rows, F.witness, H[0], r)
+        e_ef, exact_ef = sd._truncated_excess(E, H[0], H[1], r)
+        e_fe, exact_fe = sd._truncated_excess(F, H[1], H[0], r)
     return max(e_ef, e_fe), not (exact_ef and exact_fe)
 
 
@@ -247,7 +246,7 @@ class TestAgainstDykstra:
         flags = []
         for i in range(12):
             E, F, r = halfspace_pair(rng, 1 + i % 3, boxed=i % 2 == 1)
-            td = sd.truncated_hausdorff(E, F, sd.TruncatedDistParams(r=r, r0=0.5 * r))
+            td = sd.truncated_hausdorff(E, F, r)
             value, estimate = dykstra_truncated_hausdorff(monkeypatch, E, F, r)
             assert td.estimate == estimate
             assert td.value == pytest.approx(value, abs=1e-8)
@@ -257,26 +256,28 @@ class TestAgainstDykstra:
 
 class TestDrMetric:
     def test_identical(self):
-        C = Polytope([[0.0, 0.0], [1.0, 0.0]])
-        assert sd.d_r_metric(C, C, sd.TruncatedDistParams(r=2.0, r0=1.0)) == 0.0
+        C = box_set(1.0, 0.0, 0.0, [0.0, 0.0])
+        assert sd.d_r_metric(C, C, 2.0) == 0.0
 
     def test_translation_1d(self):
         # d(x, [0,1]) vs d(x, [0.3, 1.3]): max gap 0.3, attained left of 0
-        C = Polytope([[0.0], [1.0]])
-        D = Polytope([[0.3], [1.3]])
-        v = sd.d_r_metric(C, D, sd.TruncatedDistParams(r=3.0, r0=1.0, grid_resolution=0.01))
+        v = sd.d_r_metric(segment(0.0, 1.0), segment(0.3, 1.3), 3.0, grid_resolution=0.01)
         assert v == pytest.approx(0.3, abs=0.02)
 
     def test_dominated_by_truncated_hausdorff(self, rng):
         """d_r <= d-hat_r <= d_H whenever the truncated value is exact."""
         for _ in range(10):
-            C = Polytope(rng.normal(size=(4, 2)))
-            D = Polytope(rng.normal(size=(4, 2)))
-            p = sd.TruncatedDistParams(r=10.0, r0=1.0, grid_resolution=0.25)
-            dr = sd.d_r_metric(C, D, p)
-            td = sd.truncated_hausdorff(C, D, p)
+            E, F, _ = halfspace_pair(rng, 2, boxed=True)
+            dr = sd.d_r_metric(E, F, 10.0, grid_resolution=0.25)
+            td = sd.truncated_hausdorff(E, F, 10.0)
+            assert not td.estimate
             assert dr <= td.value + 1e-7
-            assert td.value <= hausdorff(C, D) + 1e-9
+            assert td.value <= hausdorff(*sd._hulls([E, F], 10.0)) + 1e-9
+
+    def test_grid_resolution_must_be_positive(self):
+        C = segment(0.0, 1.0)
+        with pytest.raises(ValueError, match="grid_resolution"):
+            sd.d_r_metric(C, C, 1.0, grid_resolution=0.0)
 
 
 class TestEpsArgminBound:
@@ -384,6 +385,17 @@ class TestCheckEpsArgminLipschitz:
             for p in (rp_u, rp_v)
         )
         assert rep.measured == pytest.approx(hausdorff(EU, EV), abs=1e-9)
+
+    def test_r_must_exceed_r0(self):
+        # min x over [1, 10]: nu = 1 and the witness 1 lie in the 2-ball,
+        # so the check reaches the radii and refuses r <= r0
+        rp = RobustProblem(
+            constraint_sets={"u": Polytope([[1.0, 1.0]]), "box": Polytope([[-1.0, -10.0]])},
+            cost=[1.0],
+        )
+        for r, r0 in ((1.0, 2.0), (2.0, 2.0)):
+            with pytest.raises(ValueError, match=r"need r > r0 > 0"):
+                sd.check_eps_argmin_lipschitz(rp, rp, eps=0.1, r=r, r0=r0)
 
     def test_bad_reference(self):
         rp = RobustProblem(

@@ -497,6 +497,18 @@ class TestVerifyTransformDistanceMulti:
         with pytest.raises(ValueError, match="rho"):
             tf.verify_transform_distance_multi(rp, rp, rho=rho, plan=LEAN_PLAN)
 
+    def test_one_vertex_sets_sample_their_vertex(self):
+        """The lo/hi box rows are one-vertex sets; their hull draws sit on the
+        vertex itself (a Dirichlet weight of one vertex can read an ulp off
+        1.0), so the sampled sup is the vertex distance the bound reads."""
+        plan = tf.SamplePlan(counts=(5, 5, 5, 5))
+        for s in range(1000, 1150):
+            rng = np.random.default_rng(s)
+            rp = random_feasible_instance(rng, n=1 + s % 3)
+            rpV = shifted_instance(rp, rng, 0.05)
+            rep = tf.verify_transform_distance_multi(rp, rpV, rho=0.5, plan=plan)
+            assert rep.slack == 0.0, s
+
     def test_single_constraint_matches_pairwise_bound(self, rng):
         """With one uncertain set, the multi bound is that set's Hausdorff
         distance in R^(n+1)."""
