@@ -248,18 +248,18 @@ def check_eps_argmin_lipschitz(
             )
             + 1.0
         )
+    if r is None:
+        r = 2.0 * r0
+    if not (r > r0 > 0):  # malformed, before the hypotheses that read r0
+        raise ValueError("need r > r0 > 0")
     if not (nu_u > -r0 and nu_v > -r0):
         raise HypothesisViolatedError("an optimal value does not exceed -r0")
     if not (
         np.linalg.norm(EU.witness) <= r0 and np.linalg.norm(EV.witness) <= r0
     ):
         raise HypothesisViolatedError("r0-ball misses an eps-argmin set")
-    if r is None:
-        r = 2.0 * r0
     c_norm = float(np.linalg.norm(cpU.cost))
     coeff = eps_argmin_bound(eta, r, eps, c_norm, dist_infeas)
-    if not (r > r0 > 0):
-        raise ValueError("need r > r0 > 0")
     td = truncated_hausdorff(EU, EV, r)
     bound = coeff * d_nat
     return CertificateReport.from_values(

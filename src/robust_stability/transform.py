@@ -28,6 +28,15 @@ differs from a point-by-point draw.  The facet test runs once per block
 and set.  Where t lies in exactly one set, the only points where the two
 transformations differ, their difference is t's distance to the other set;
 the sampler keeps that distance, not the projected point.
+
+That distance is convex in t, so a hull draw t = sum_i w_i u_i has d(t, V)
+<= sum_i w_i d(u_i, V), read off the vertex pass, and a box draw d(t, V) <=
+its nearest vertex's distance.  A read whose bound lies strictly below the
+largest distance sampled so far cannot raise the sup, so it is skipped:
+the point is still accepted and counted, its distance None.  In exact
+arithmetic measured therefore never exceeds the vertex maximum, which is
+bound; the check's own content is the vertices' facet memberships (and,
+in the benchmark, an oracle comparing d_H with the translation's norm).
 """
 
 import numpy as np
@@ -100,11 +109,13 @@ def _memberships(T, homes, hreps):
     return [[home == 0 or u, home == 1 or v] for home, u, v in zip(homes, *cols)]
 
 
-def _settle(t, U, V, inside, full):
+def _settle(t, U, V, inside, full, bound, top):
     """(in_u, in_v, dist_u, dist_v) from the memberships known so far, or
     None if t falls in the membership ambiguity band or only in full
-    regions.  Projects as the module docstring says; a distance is None
-    where no projection ran."""
+    regions.  Projects as the module docstring says, except that the
+    distance sigma reads is skipped where bound (upper bounds on t's
+    distances to U and V) puts it strictly below top, the largest distance
+    sampled so far; a distance is None where no projection ran."""
     dist = [None, None]
     for i, P in enumerate((U, V)):
         if inside[i] is None and _has_room(inside, full):
@@ -115,25 +126,41 @@ def _settle(t, U, V, inside, full):
     if not _has_room(inside, full):
         return None
     for i, P in enumerate((U, V)):  # the distance sigma reads, once
-        if inside[1 - i] and not inside[i] and dist[i] is None:
+        if inside[1 - i] and not inside[i] and dist[i] is None and not bound[i] < top:
             dist[i] = project_onto_polytope(t, P)[1]
     return (*inside, *dist)
 
 
-def _draw_block(rng, U, V, lo, hi):
-    """The next _BLOCK candidates of the stream: (homes, points) in draw
-    order.  Home 0 (1) is a Dirichlet-weighted convex combination of U's
-    (V's) vertices, exactly the vertex for a one-vertex set (whose weight
-    can read an ulp off 1.0), home 2 a uniform draw from the box [lo, hi]."""
+def _draw_block(rng, U, V, lo, hi, far):
+    """The next _BLOCK candidates of the stream: (homes, points, bounds) in
+    draw order.  Home 0 (1) is a Dirichlet-weighted convex combination of
+    U's (V's) vertices, exactly the vertex for a one-vertex set (whose
+    weight can read an ulp off 1.0), home 2 a uniform draw from the box
+    [lo, hi].  bounds[j] bounds point j's distances to U and V: w . far[0]
+    bounds a U draw's distance to V by convexity, far[0] holding U's vertex
+    distances to V (likewise for V), and the nearest vertex bounds a box
+    draw's; a point's distance to its home set is 0."""
     homes = rng.integers(0, 3, _BLOCK)
-    T = np.empty((_BLOCK, len(lo)))
+    T, B = np.empty((_BLOCK, len(lo))), np.zeros((_BLOCK, 2))
     for home, P in enumerate((U, V)):
         at = homes == home
         weights = rng.dirichlet(np.ones(len(P.vertices)), int(at.sum()))
-        T[at] = P.vertices[0] if len(P.vertices) == 1 else weights @ P.vertices
+        if len(P.vertices) == 1:
+            T[at], B[at, 1 - home] = P.vertices[0], far[home][0]
+        else:
+            T[at], B[at, 1 - home] = weights @ P.vertices, weights @ far[home]
     at = homes == 2
     T[at] = rng.uniform(lo, hi, (int(at.sum()), len(lo)))
-    return homes.tolist(), T
+    for i, P in enumerate((U, V)):
+        B[at, i] = np.sqrt(((T[at][:, None, :] - P.vertices) ** 2).sum(axis=2)).min(axis=1)
+    return homes.tolist(), T, B.tolist()
+
+
+def _gap(in_u, in_v, dist_u, dist_v):
+    """||sigma_{U;V}(t) - sigma_{V;U}(t)||: 0 unless t is in exactly one
+    set, then t's distance to the other set (None where it was skipped; b -
+    b = 0 for stacked rows)."""
+    return 0.0 if in_u == in_v else dist_v if in_u else dist_u
 
 
 def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
@@ -151,28 +178,32 @@ def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
     """
     rng = np.random.default_rng(plan.seed)
     hreps = (facets(U), facets(V))
-    out, known = [], {(0, 0): {}, (0, 1): {}}
+    out, known, top = [], {(0, 0): {}, (0, 1): {}}, 0.0
+    far = (np.zeros(len(U.vertices)), np.zeros(len(V.vertices)))  # 0 inside
     k = len(U.vertices)
     all_v = np.vstack([U.vertices, V.vertices])
     homes = [0] * k + [1] * len(V.vertices)
     for j, (v, inside) in enumerate(zip(all_v, _memberships(all_v, homes, hreps))):
-        cls = _settle(v, U, V, inside, (False,) * 4)
-        if cls is not None:
-            out.append((v, *cls))
-            home = homes[j]
-            if cls[3 - home] is not None:  # the distance to the other set
-                known[0, home][j - home * k] = cls[3 - home]
+        home, i = homes[j], j - homes[j] * k
+        cls = _settle(v, U, V, inside, (False,) * 4, (np.inf, np.inf), top)
+        if cls is None:  # within the other set's ambiguity band
+            far[home][i] = _MEMBERSHIP_TOL + _AMBIGUITY_BAND
+            continue
+        out.append((v, *cls))
+        top = max(top, _gap(*cls))
+        if cls[3 - home] is not None:  # the distance to the other set
+            known[0, home][i] = far[home][i] = cls[3 - home]
     lo = all_v.min(axis=0) - _BOX_MARGIN
     hi = all_v.max(axis=0) + _BOX_MARGIN
     want, got, stall = plan.counts, [0, 0, 0, 0], 0
     full = [w <= 0 for w in want]
     while not all(full) and stall < _STALL:
-        homes, T = _draw_block(rng, U, V, lo, hi)
-        for t, inside in zip(T, _memberships(T, homes, hreps)):
+        homes, T, bounds = _draw_block(rng, U, V, lo, hi, far)
+        for t, inside, bound in zip(T, _memberships(T, homes, hreps), bounds):
             if None not in inside and full[_region(*inside)]:
                 cls = None  # decided, and its region is full
             else:
-                cls = _settle(t, U, V, inside, full)
+                cls = _settle(t, U, V, inside, full, bound, top)
             if cls is None:
                 stall += 1
                 if stall == _STALL:
@@ -183,6 +214,7 @@ def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
             full[r] = got[r] >= want[r]
             stall = 0
             out.append((t, *cls))
+            top = max(top, _gap(*cls) or 0.0)
             if all(full):
                 break
     return out, known
@@ -190,16 +222,13 @@ def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
 
 def _sampled_sup(U, V, rho, plan):
     """(sup of ||sigma_{U;V}(t) - sigma_{V;U}(t)|| over the plan, sample
-    count, vertex distances of _sample_index_points).
-
-    The difference is 0 unless t is in exactly one set; then it is t's
-    distance to the other set (and b - b = 0 for stacked rows).
-    """
+    count, vertex distances of _sample_index_points): the largest _gap
+    that was projected."""
     if not rho > 0:
         raise ValueError("rho must be positive")
     points, known = _sample_index_points(U, V, plan)
-    dists = [dv if in_u else du for _, in_u, in_v, du, dv in points if in_u != in_v]
-    return max(dists, default=0.0), len(points), known
+    gaps = [_gap(*p[1:]) for p in points]
+    return max((g for g in gaps if g is not None), default=0.0), len(points), known
 
 
 def _two_sided(bound, measured, context):

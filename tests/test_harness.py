@@ -413,13 +413,14 @@ class TestCli:
         rep = json.loads(lines[0])
         assert rep["error"] == "NumericalBreakdownError" and "overflows" in rep["message"]
 
-    @pytest.mark.parametrize("r, r0", [(1.0, 2.0), (2.0, 2.0)])
+    @pytest.mark.parametrize("r, r0", [(1.0, 2.0), (2.0, 2.0), (None, -1), (None, 0)])
     def test_epsopt_check_r_not_above_r0_exits_1(self, tmp_path, capsys, r, r0):
+        """A non-positive r0 is malformed: refused before the nu > -r0 test
+        (r0 = -1 used to read as a violated hypothesis)."""
         cfg = tmp_path / "ec.json"
         problem = toy_problem_dict()
-        cfg.write_text(json.dumps(
-            {"problemU": problem, "problemV": problem, "eps": 0.1, "r": r, "r0": r0}
-        ))
+        config = {"problemU": problem, "problemV": problem, "eps": 0.1, "r": r, "r0": r0}
+        cfg.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
         code = hn.cli(["epsopt-check", str(cfg)])
         assert code == 1
         assert capsys.readouterr().out == '{"error":"ValueError","message":"need r > r0 > 0"}\n'

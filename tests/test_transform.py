@@ -14,6 +14,7 @@ def unit_square():
 
 
 LEAN_PLAN = tf.SamplePlan(seed=3, counts=(10, 10, 10, 10))
+NO_BOUND = (np.inf, np.inf)  # _settle bounds that never skip a projection
 
 
 class TestEvalSigma:
@@ -52,7 +53,7 @@ class TestEvalSigma:
         def settle(ts):
             t = np.array(ts)
             inside = tf._memberships(t[None], [2], (None, None))[0]
-            return tf._settle(t, U, V, inside, (False,) * 4)
+            return tf._settle(t, U, V, inside, (False,) * 4, NO_BOUND, 0.0)
 
         assert settle([0.5, 0.5])[:2] == (True, False)
         in_u, in_v, dist_u, _ = settle([3.5, 0.5])
@@ -76,7 +77,7 @@ def eager_sample_index_points(U, V, plan):
         return du <= tf._MEMBERSHIP_TOL, dv <= tf._MEMBERSHIP_TOL, du, dv
 
     rng = np.random.default_rng(plan.seed)
-    out = []
+    out, far = [], (np.zeros(len(U.vertices)), np.zeros(len(V.vertices)))
     for v in list(U.vertices) + list(V.vertices):
         cls = classify(v)
         if cls is not None:
@@ -88,7 +89,7 @@ def eager_sample_index_points(U, V, plan):
     got = [0, 0, 0, 0]
     stall = 0
     while any(g < w for g, w in zip(got, want)) and stall < 200:
-        for t in tf._draw_block(rng, U, V, lo, hi)[1]:
+        for t in tf._draw_block(rng, U, V, lo, hi, far)[1]:  # far: bounds only
             cls = classify(t)
             if cls is None:
                 stall += 1
@@ -111,26 +112,48 @@ def bits(x):
     return None if x is None else np.asarray(x, dtype=float).tobytes()
 
 
+def vertex_max(U, V):
+    """The largest distance from a vertex outside the other set to that
+    set: the sup the vertex pass samples."""
+    ds = [project_onto_polytope(v, Q)[1] for P, Q in ((U, V), (V, U)) for v in P.vertices]
+    return max((d for d in ds if d > tf._MEMBERSHIP_TOL + tf._AMBIGUITY_BAND), default=0.0)
+
+
 class TestLazySamplerMatchesEager:
-    """The sampler skips projections whose answer is known; every point,
-    membership and distance it projects must be the eager sampler's, and it
-    projects every distance sigma reads."""
+    """The sampler skips projections whose answer is known or cannot raise
+    the sampled sup; every point, membership and distance it projects must
+    be the eager sampler's.  Every distance sigma reads is projected or
+    skipped; a skipped one is at most its bound (to rounding), which lies
+    strictly below the vertex maximum, and at most that maximum, so no skip
+    moves the sampled sup."""
 
     def assert_same(self, U, V, plan):
-        lazy = tf._sample_index_points(U, V, plan)[0]
+        """Returns the lazy sampler's points and how many reads it skipped."""
+        bounds, real = {}, tf._draw_block
+        def recording(*args):
+            block = real(*args)
+            bounds.update(zip(map(bits, block[1]), block[2]))
+            return block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tf, "_draw_block", recording)
+            lazy = tf._sample_index_points(U, V, plan)[0]
         eager = eager_sample_index_points(U, V, plan)
         assert len(lazy) == len(eager)
+        top, skipped = vertex_max(U, V), 0
         for (t, in_u, in_v, du, dv), (t0, in_u0, in_v0, du0, dv0) in zip(lazy, eager):
             assert bits(t) == bits(t0)
             assert (in_u, in_v) == (in_u0, in_v0)
-            if in_v and not in_u:  # sigma_{U;V} reads the distance to U
-                assert du is not None
-            if in_u and not in_v:  # sigma_{V;U} reads the distance to V
-                assert dv is not None
             for d, d0 in ((du, du0), (dv, dv0)):
                 if d is not None:
                     assert bits(d) == bits(d0)
-        return lazy
+            if tf._gap(in_u, in_v, du, dv) is None:  # the read was skipped
+                skipped += 1
+                bound = bounds[bits(t)][1 if in_u else 0]
+                d0 = tf._gap(in_u, in_v, du0, dv0)
+                # convexity bounds the exact distance; Wolfe's may exceed it
+                # by rounding (an ulp on the disjoint squares), never past top
+                assert d0 <= bound + 1e-9 and bound < top and d0 <= top
+        return lazy, skipped
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_random_pairs(self, rng, dim):
@@ -148,7 +171,7 @@ class TestLazySamplerMatchesEager:
     def test_disjoint_sets_reach_stall_cutoff(self):
         U = unit_square()
         V = U.translated([3.0, 0.0])
-        out = self.assert_same(U, V, LEAN_PLAN)
+        out = self.assert_same(U, V, LEAN_PLAN)[0]
         assert not any(in_u and in_v for _, in_u, in_v, _, _ in out)
 
     def test_nested_sets(self):
@@ -166,7 +189,33 @@ class TestLazySamplerMatchesEager:
         self.assert_same(point, unit_square(), LEAN_PLAN)
         self.assert_same(unit_square(), point, LEAN_PLAN)
         self.assert_same(point, point, LEAN_PLAN)
-        self.assert_same(point, Polytope([[2.0, 0.0]]), LEAN_PLAN)
+        # a one-vertex set's draws are its vertex, bounded by that vertex's
+        # distance: below the vertex maximum sqrt(5) their reads are skipped,
+        # and two points' draws tie with it, so each is projected
+        outside = Polytope([[2.0, 0.0]])
+        lazy = self.assert_same(outside, unit_square(), LEAN_PLAN)[0]
+        draws = [dv for t, _, _, _, dv in lazy[5:] if bits(t) == bits(outside.vertices[0])]
+        assert draws and all(dv is None for dv in draws)  # after the 5 vertices
+        lazy, skipped = self.assert_same(point, outside, LEAN_PLAN)
+        assert skipped == 0 and len(lazy) > 2
+
+    def test_sets_without_facets(self, rng):
+        """Without a facet list every membership is projected, so a read of
+        the distance to that set is never skipped; reads of the distance to a
+        set with facets still are."""
+        U5 = random_polytope(rng, 5, max_vertices=9)
+        many = Polytope(rng.normal(size=(70, 2)))
+        assert facets(U5) is None and facets(many) is None
+        plan = tf.SamplePlan(seed=1, counts=(5, 5, 5, 5))
+        pairs = [(U5, U5.translated(0.3 * rng.normal(size=5))),
+                 (many, unit_square()), (unit_square(), many)]
+        for U, V in pairs:
+            lazy, skipped = self.assert_same(U, V, plan)
+            listed = (facets(U) is not None, facets(V) is not None)
+            for t, in_u, in_v, du, dv in lazy:
+                if in_u != in_v and not listed[in_u]:  # the read's set has none
+                    assert tf._gap(in_u, in_v, du, dv) is not None
+            assert (skipped > 0) == any(listed)
 
 
 class TestStallAcrossBlocks:
@@ -185,12 +234,12 @@ class TestStallAcrossBlocks:
         def install(points):
             T = np.array(points, dtype=float)
 
-            def draw(rng, U, V, lo, hi):
+            def draw(rng, U, V, lo, hi, far):
                 start = len(blocks) * tf._BLOCK
                 blocks.append(start)
                 chunk = T[start : start + tf._BLOCK]
                 assert len(chunk) == tf._BLOCK, "script ran out of draws"
-                return [2] * tf._BLOCK, chunk
+                return [2] * tf._BLOCK, chunk, [NO_BOUND] * tf._BLOCK
 
             monkeypatch.setattr(tf, "_draw_block", draw)
             return blocks
@@ -234,9 +283,9 @@ class TestStallAcrossBlocks:
         _STALL drawn points before sampling stops, spanning a block boundary."""
         draws, real = [], tf._draw_block
         def recording(*args):
-            homes, T = real(*args)
-            draws.extend(T.tolist())
-            return homes, T
+            block = real(*args)
+            draws.extend(block[1].tolist())
+            return block
         monkeypatch.setattr(tf, "_draw_block", recording)
         out = tf._sample_index_points(self.U, self.V, LEAN_PLAN)[0]
         last = draws.index(out[-1][0].tolist())
@@ -255,7 +304,8 @@ class TestBlockVerdict:
         rng = np.random.default_rng(seed)
         all_v = np.vstack([U.vertices, V.vertices])
         lo, hi = all_v.min(axis=0) - tf._BOX_MARGIN, all_v.max(axis=0) + tf._BOX_MARGIN
-        homes, T = tf._draw_block(rng, U, V, lo, hi)
+        far = (np.zeros(len(U.vertices)), np.zeros(len(V.vertices)))
+        homes, T, _ = tf._draw_block(rng, U, V, lo, hi, far)
         homes = homes + [0] * len(U.vertices) + [1] * len(V.vertices)
         T = np.vstack([T, all_v])
         near, band_points = [], []  # within the band of a facet, and beyond it
@@ -278,10 +328,10 @@ class TestBlockVerdict:
         for t, home, inside in zip(T, homes, block):
             one_row = tf._memberships(t[None], [home], hreps)[0]
             assert one_row == inside
-            single = tf._settle(t, U, V, one_row, full)
+            single = tf._settle(t, U, V, one_row, full, NO_BOUND, 0.0)
             no_facets = tf._memberships(t[None], [home], (None, None))[0]
-            plain = tf._settle(t, U, V, no_facets, full)
-            settled = tf._settle(t, U, V, list(inside), full)
+            plain = tf._settle(t, U, V, no_facets, full, NO_BOUND, 0.0)
+            settled = tf._settle(t, U, V, list(inside), full, NO_BOUND, 0.0)
             assert (single is None) == (settled is None)
             if single is not None:
                 assert single[:2] == settled[:2]
@@ -320,6 +370,71 @@ class TestBlockVerdict:
         self.assert_same(unit_square(), many)
 
 
+class TestSkipBounds:
+    """_draw_block bounds each candidate's distances to U and V, and _settle
+    skips the one projection sigma reads only where that bound lies strictly
+    below the running maximum; membership projections always run."""
+
+    def draw(self, U, V, seed=0):
+        far = [np.array([project_onto_polytope(v, Q)[1] for v in P.vertices])
+               for P, Q in ((U, V), (V, U))]
+        all_v = np.vstack([U.vertices, V.vertices])
+        lo, hi = all_v.min(axis=0) - tf._BOX_MARGIN, all_v.max(axis=0) + tf._BOX_MARGIN
+        return far, tf._draw_block(np.random.default_rng(seed), U, V, lo, hi, far)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bounds_hold(self, rng, dim):
+        """Box draws take the nearest vertex, hull draws w . far, which lies
+        between the smallest and largest vertex distance; both bound Wolfe's
+        distance, and a point's distance to its home set is 0."""
+        for seed in range(4):
+            U = random_polytope(rng, dim, max_vertices=6)
+            V = random_polytope(rng, dim, max_vertices=6, center=0.4 * rng.normal(size=dim))
+            far, (homes, T, B) = self.draw(U, V, seed)
+            assert set(homes) == {0, 1, 2}
+            for home, t, bound in zip(homes, T, B):
+                for i, P in enumerate((U, V)):
+                    if home == 2:
+                        nearest = np.linalg.norm(P.vertices - t, axis=1).min()
+                        assert bound[i] == pytest.approx(nearest, rel=1e-12)
+                    elif home == i:
+                        assert bound[i] == 0.0
+                    else:
+                        assert far[home].min() - 1e-12 <= bound[i] <= far[home].max() + 1e-12
+                    assert project_onto_polytope(t, P)[1] <= bound[i] + 1e-9
+
+    def test_one_vertex_set_bound_is_its_vertex_distance(self):
+        point = Polytope([[2.0, 0.0]])
+        far, (homes, T, B) = self.draw(point, unit_square())
+        assert homes.count(0) > 1
+        for home, t, bound in zip(homes, T, B):
+            if home == 0:
+                assert bits(t) == bits(point.vertices[0])
+                assert bound == [0.0, far[0][0]] and far[0][0] == 1.0
+
+    def test_skip_needs_the_bound_strictly_below_top(self):
+        U, V = unit_square(), unit_square().translated([3.0, 0.0])
+        hreps = (facets(U), facets(V))
+
+        def settle(t, bound, top, hreps=hreps):
+            t = np.asarray(t, dtype=float)
+            inside = tf._memberships(t[None], [2], hreps)[0]
+            return tf._settle(t, U, V, inside, (False,) * 4, bound, top)
+
+        inner = [0.5, 0.5]  # deep in U only, 2.5 from V
+        assert settle(inner, (0.0, 2.5), 2.5) == (True, False, None, pytest.approx(2.5))
+        assert settle(inner, (0.0, 2.7), 2.6)[3] == pytest.approx(2.5)
+        assert settle(inner, (0.0, 2.5), 2.6) == (True, False, None, None)
+        assert settle(inner, (9.0, 2.5), 2.6) == (True, False, None, None)
+        # U's edge midpoint is in U's facet band: its membership is
+        # projected even though the read of V's distance is skipped
+        in_u, in_v, du, dv = settle([0.5, 0.0], (0.0, 0.0), np.inf)
+        assert (in_u, in_v, dv) == (True, False, None) and du is not None
+        # without facet lists both memberships are projected
+        in_u, in_v, du, dv = settle(inner, (0.0, 0.0), np.inf, (None, None))
+        assert (in_u, in_v) == (True, False) and du is not None and dv is not None
+
+
 class TestClassifyWithFacets:
     """Memberships read off the facets are the projections' answers; points
     within the facet band are projected, and so is the one distance sigma reads."""
@@ -340,10 +455,11 @@ class TestClassifyWithFacets:
         t = np.asarray(t, dtype=float)
         hreps, full = (facets(self.U), facets(self.V)), (False,) * 4
         projected.clear()
-        got = tf._settle(t, self.U, self.V, tf._memberships(t[None], [home], hreps)[0], full)
+        inside = tf._memberships(t[None], [home], hreps)[0]
+        got = tf._settle(t, self.U, self.V, inside, full, NO_BOUND, 0.0)
         calls = list(projected)
         no_facets = tf._memberships(t[None], [home], (None, None))[0]
-        want = tf._settle(t, self.U, self.V, no_facets, full)
+        want = tf._settle(t, self.U, self.V, no_facets, full, NO_BOUND, 0.0)
         assert got[:2] == want[:2]
         if got[1] and not got[0]:
             assert bits(got[2]) == bits(want[2])
@@ -458,12 +574,14 @@ class TestVerifyTransformDistance:
         """Pinned Wolfe count of one fixed check.  Projecting every point onto
         both sets and every vertex of U and V onto the other set took 144;
         deciding every membership by projection took 89; projecting the
-        vertices again for d_H, after the sampler had, took 35."""
+        vertices again for d_H, after the sampler had, took 35; projecting
+        every distance sigma reads, also where convexity bounds it below the
+        vertex maximum, took 29."""
         U = Polytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 1.5]])
         V = U.translated([0.5, 0.25])
         rep = tf.verify_transform_distance(U, V, b=-1.0, rho=0.5, plan=LEAN_PLAN)
         assert rep.passed and rep.context["samples"] == 50
-        assert min_norm_point_calls[0] == 29
+        assert min_norm_point_calls[0] == 9
 
 
 class TestVerifyTransformDistanceMulti:
