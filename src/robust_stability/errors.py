@@ -13,14 +13,6 @@ class IndexMismatchError(RobustStabilityError):
     """Index-label sets of two systems differ (metric undefined)."""
 
 
-class OriginNotInteriorError(RobustStabilityError):
-    pass
-
-
-class UnboundedPolarError(RobustStabilityError):
-    """Origin within tolerance of the boundary; polar polytope unbounded."""
-
-
 class IterationLimitError(RobustStabilityError):
     pass
 

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import lp as lpmod
-from .errors import (
-    DimensionMismatchError,
-    IterationLimitError,
-    OriginNotInteriorError,
-    UnboundedPolarError,
-)
+from .errors import DimensionMismatchError, IterationLimitError
 
 _MNP_GAP_TOL = 1e-9
 _MNP_MAX_ITER = 100_000
@@ -357,61 +352,40 @@ class Inradius(NamedTuple):
 
 
 def contains_origin_interior(P: Polytope):
-    """(inside, margin, inradius): is there r > 0 with ball(0, r) inside
-    conv(P), and how large, from one pass over the polar body
-    Q = {y : <v, y> <= 1, v a nonzero vertex of P}.
+    """The inradius of conv(P) at the origin, as an Inradius, or None when
+    the origin is not strictly inside: the inradius would be <= 1e-9, or the
+    largest polar norm is within tolerance of 0.  One pass over the polar
+    body Q = {y : <v, y> <= 1, v a nonzero vertex of P} answers it.
 
-    margin is the smallest, over directions d = +/- e_i, of the largest r
-    with r*d in conv(P).  By LP duality, for an interior origin
+    For dim <= 4 and <= 64 nonzero vertices Q's vertices are enumerated;
+    where _polar certifies the list complete, the inradius is, by the
+    polar-circumradius identity, 1 / max ||y||.  Otherwise each direction
+    d = +/- e_i is an LP (_probe_lp): by LP duality, for an interior origin
 
         max{r : r*d in conv(P)} = 1 / max{<d, y> : y in Q},
 
-    and the right-hand maximum is unbounded for some d exactly when the
-    origin is not interior (the vertices do not positively span R^dim).
-    inside when each such r exceeds the feasibility tolerance.  For dim <= 4
-    and <= 64 nonzero vertices Q's vertices are enumerated; where _polar
-    certifies the list complete, each maximum is read off them and
-    inradius, by the polar-circumradius identity, is 1 / max ||y||.
-    Otherwise each direction is answered by its LP (_probe_lp) and inradius
-    is the certified lower bound margin / sqrt(dim), flagged estimated:
-    conv(P) contains the cross-polytope conv{+/- margin e_i}, whose
-    inradius that is.  It is None when the origin is not inside, when it
-    would be <= 1e-9, and when the largest ||y|| is within tolerance of 0.
+    unbounded on the right for some d exactly when the origin is not
+    interior.  The first r <= the feasibility tolerance gives None; else
+    the inradius is the certified lower bound margin / sqrt(dim), margin the
+    least r, flagged estimated: conv(P) contains the cross-polytope
+    conv{+/- margin e_i}, whose inradius that is.
     """
     tol = lpmod._FEAS_TOL
     # a zero vertex (the slack row's, in the augmented Z-) bounds nothing: 0 <= 1
     W = P.vertices[P.vertices.any(axis=1)]
     k, d = W.shape
     Y, exact = _polar(W) if d <= 4 and k <= 64 else (None, False)
-    margin = np.inf
-    for i, s in itertools.product(range(d), (1.0, -1.0)):
-        r_star = 1.0 / float(np.max(s * Y[:, i])) if exact else _probe_lp(W, i, s)
-        if r_star <= tol:
-            return False, 0.0, None
-        margin = min(margin, r_star)
     if exact:
         best = float(_norms(Y).max())
         value = 1.0 / best if best > tol else 0.0
     else:
+        margin = np.inf
+        for i, s in itertools.product(range(d), (1.0, -1.0)):
+            margin = min(margin, _probe_lp(W, i, s))
+            if margin <= tol:
+                return None
         value = margin / math.sqrt(d)
-    return True, margin, Inradius(value, not exact) if value > 1e-9 else None
-
-
-def inradius_at_origin(P: Polytope) -> Inradius:
-    """Distance from the (interior) origin to the boundary of conv(P).
-
-    Reads one contains_origin_interior: OriginNotInteriorError if the
-    origin is not inside, UnboundedPolarError where it gives no inradius.
-    """
-    inside, _, inradius = contains_origin_interior(P)
-    if not inside:
-        raise OriginNotInteriorError("origin is not strictly inside conv(P)")
-    if inradius is None:
-        raise UnboundedPolarError(
-            "polar vertices within tolerance of 0, or the origin within "
-            "tolerance of the boundary"
-        )
-    return inradius
+    return Inradius(value, not exact) if value > 1e-9 else None
 
 
 class Facets(NamedTuple):

@@ -30,7 +30,7 @@ UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-9
 _CHECK_TOL = 1e-7
-_FEAS_TOL = 1e-9  # the least Slater constant, and the least probe margin (geometry)
+_FEAS_TOL = 1e-9  # the least Slater constant; the least LP probe margin (geometry)
 _SLATER_CAP = 1e6
 
 

@@ -165,24 +165,27 @@ def constraintwise_distance(rpU: RobustProblem, rpV: RobustProblem) -> float:
     return hausdorff(list(U.values()), [rpV.constraint_sets[alpha] for alpha in U])
 
 
-def _collapse(rows, tol):
+_EQUIV_TOL = 1e-12  # pi_equivalent's distance for equal costs and rows
+
+
+def _collapse(rows):
     out = []
     for v in rows:
-        if not any(np.linalg.norm(v - w) <= tol for w in out):
+        if not any(np.linalg.norm(v - w) <= _EQUIV_TOL for w in out):
             out.append(v)
     return out
 
 
-def pi_equivalent(p1: LsioProblem, p2: LsioProblem, tol: float = 1e-12) -> bool:
+def pi_equivalent(p1: LsioProblem, p2: LsioProblem) -> bool:
     """Equal costs and equal constraint sets as unordered (a, b) sets.
 
     Stronger than equal feasible sets: an extra trivial row breaks it.
     """
     if p1.dim != p2.dim:
         raise DimensionMismatchError("problems have different dimensions")
-    if np.linalg.norm(p1.cost - p2.cost) > tol:
+    if np.linalg.norm(p1.cost - p2.cost) > _EQUIV_TOL:
         return False
-    c1, c2 = _collapse(p1.rows, tol), _collapse(p2.rows, tol)
+    c1, c2 = _collapse(p1.rows), _collapse(p2.rows)
     def covered(xs, ys):
-        return all(any(np.linalg.norm(x - y) <= tol for y in ys) for x in xs)
+        return all(any(np.linalg.norm(x - y) <= _EQUIV_TOL for y in ys) for x in xs)
     return covered(c1, c2) and covered(c2, c1)

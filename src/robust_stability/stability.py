@@ -120,7 +120,7 @@ class InteriorSolvableResult:
     solve_result: lpmod.SolveResult
     bounded_face: bool
     failing: str  # "" when ok
-    d_z: Optional[float] = None  # inradius of Z- at the origin, None if unusable
+    d_z: Optional[float] = None  # inradius of Z- at the origin; set exactly when ok
 
 
 def check_interior_solvable(pi: LsioProblem) -> InteriorSolvableResult:
@@ -141,38 +141,24 @@ def _interior_solvable(pi: LsioProblem, canon: LsioProblem) -> InteriorSolvableR
     """check_interior_solvable(pi) with canon = _canonical(pi) given."""
     slater = lpmod.slater_constant(pi.rows)
     res = lpmod.solve(pi.to_lp())
-    bounded, inradius = False, None
+    inradius = None
     failing = ""
     if slater is None:
         failing = "strong Slater condition"
     elif res.status != lpmod.OPTIMAL:
         failing = f"solvability (status {res.status})"
     else:
-        bounded, _, inradius = contains_origin_interior(build_Zminus(canon))
-        if not bounded:
+        inradius = contains_origin_interior(build_Zminus(canon))
+        if inradius is None:
             failing = "bounded optimal face (origin strictly inside Z-)"
     return InteriorSolvableResult(
         ok=failing == "",
         slater=slater,
         solve_result=res,
-        bounded_face=bounded,
+        bounded_face=inradius is not None,
         failing=failing,
         d_z=None if inradius is None else inradius.value,
     )
-
-
-def _boundary_distances(canon: LsioProblem, interior: InteriorSolvableResult):
-    """(distance to infeasibility, inradius of Z- at 0) of a canonical problem.
-
-    interior is check_interior_solvable's passing result for it, or for it
-    without the augmented problem's zero slack row, which leaves Z-'s
-    nonzero points, and so its d_z, as they are.
-    """
-    if interior.d_z is None:
-        raise NotInteriorSolvableError(
-            "origin not strictly interior to Z-(pi); boundary-case input rejected"
-        )
-    return dist_origin_to_hset(canon.rows), interior.d_z
 
 
 def distance_to_bd_solvable(pi: LsioProblem) -> float:
@@ -181,7 +167,7 @@ def distance_to_bd_solvable(pi: LsioProblem) -> float:
     interior = _interior_solvable(pi, canon)
     if not interior.ok:
         raise NotInteriorSolvableError(interior.failing)
-    return min(_boundary_distances(canon, interior))
+    return min(dist_origin_to_hset(canon.rows), interior.d_z)
 
 
 def lipschitz_constant(pi: LsioProblem, eps: float = None) -> StabilityConstants:
@@ -202,8 +188,10 @@ def _stability_constants(
     canon: LsioProblem, nu: float, eps, interior: InteriorSolvableResult
 ) -> StabilityConstants:
     """lipschitz_constant for a canonical problem that interior shows
-    interior-solvable (as _boundary_distances takes it)."""
-    dist_infeas, d_z = _boundary_distances(canon, interior)
+    interior-solvable: check_interior_solvable's passing result for it, or
+    for it without the augmented problem's zero slack row, which leaves Z-'s
+    nonzero points, and so its d_z, as they are."""
+    dist_infeas, d_z = dist_origin_to_hset(canon.rows), interior.d_z
     c_norm = float(np.linalg.norm(canon.cost))
 
     dist_bd = min(dist_infeas, d_z)

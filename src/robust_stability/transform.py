@@ -172,8 +172,7 @@ def _sample_index_points(U: Polytope, V: Polytope, plan: SamplePlan):
     best-effort: sampling stops after _STALL consecutive rejected draws,
     counted across blocks, so empty regions (e.g. disjoint sets have no
     U-and-V points) are skipped rather than spun on, and at the draw that
-    fills the last region.  Every stall and accepted point is the same as
-    with both projections.  Returns [(t, in_u, in_v, dist_u, dist_v)] and
+    fills the last region.  Returns [(t, in_u, in_v, dist_u, dist_v)] and
     the vertices' distances to the other set as _hausdorff_max reads them.
     """
     rng = np.random.default_rng(plan.seed)

@@ -23,7 +23,6 @@ from robust_stability.geometry import (
     dist_origin_to_hset,
     enumerate_hrep_vertices,
     hausdorff,
-    inradius_at_origin,
 )
 from robust_stability.model import (
     LsioProblem,
@@ -36,7 +35,7 @@ from robust_stability.model import (
 import rational_simplex
 from dykstra import project_onto_halfspaces
 from conftest import random_feasible_instance, random_polytope, shifted_instance
-from test_geometry import hset_grid_oracle
+from test_geometry import hset_grid_oracle, polar_margin
 
 
 def _report(num, desc, ok, elapsed, budget, detail=""):
@@ -374,11 +373,8 @@ def test_06_inradius_direction_sweep(rng):
         dim = 2 + done % 2
         P = random_polytope(rng, dim, max_vertices=8)
         P = Polytope(P.vertices - P.vertices.mean(axis=0))
-        inside, margin, _ = contains_origin_interior(P)
-        if not inside or margin < 1e-3:
-            continue
-        r = inradius_at_origin(P)
-        if r.estimated:
+        r = contains_origin_interior(P)
+        if r is None or r.estimated or polar_margin(P)[0] < 1e-3:
             continue
         ref = _support_sweep_inradius(P, rng)
         worst = max(worst, abs(r.value - ref))

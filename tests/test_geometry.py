@@ -8,12 +8,7 @@ import pytest
 
 from robust_stability import geometry as geo
 from robust_stability import lp
-from robust_stability.errors import (
-    DimensionMismatchError,
-    IterationLimitError,
-    OriginNotInteriorError,
-    UnboundedPolarError,
-)
+from robust_stability.errors import DimensionMismatchError, IterationLimitError
 
 import dykstra
 
@@ -329,53 +324,51 @@ class TestHSetDistance:
 class TestInradius:
     def test_square(self):
         P = geo.Polytope(list(itertools.product([-1.0, 1.0], repeat=2)))
-        r = geo.inradius_at_origin(P)
+        r = geo.contains_origin_interior(P)
         assert r.value == pytest.approx(1.0, abs=1e-10)
         assert not r.estimated
 
     def test_cross_polytope(self):
         P = geo.Polytope([[1, 0], [-1, 0], [0, 1], [0, -1]])
-        assert geo.inradius_at_origin(P).value == pytest.approx(np.sqrt(2) / 2, abs=1e-10)
+        assert geo.contains_origin_interior(P).value == pytest.approx(np.sqrt(2) / 2, abs=1e-10)
 
     def test_scaled_cross(self):
         P = geo.Polytope([[2, 0], [-2, 0], [0, 2], [0, -2]])
-        assert geo.inradius_at_origin(P).value == pytest.approx(np.sqrt(2), abs=1e-10)
+        assert geo.contains_origin_interior(P).value == pytest.approx(np.sqrt(2), abs=1e-10)
 
     def test_scaling_property(self, rng):
         for _ in range(20):
             P = geo.Polytope(rng.normal(size=(7, 2)) + np.sign(rng.normal(size=(7, 2))) * 0.8)
-            inside, _, _ = geo.contains_origin_interior(P)
-            if not inside:
+            r = geo.contains_origin_interior(P)
+            if r is None:
                 continue
             s = float(rng.uniform(0.5, 3.0))
-            assert geo.inradius_at_origin(P.scaled(s)).value == pytest.approx(
-                s * geo.inradius_at_origin(P).value, abs=1e-8
+            assert geo.contains_origin_interior(P.scaled(s)).value == pytest.approx(
+                s * r.value, abs=1e-8
             )
 
     def test_origin_not_interior(self):
-        with pytest.raises(OriginNotInteriorError):
-            geo.inradius_at_origin(geo.Polytope([[1, 1], [2, 1], [1, 2]]))
+        assert geo.contains_origin_interior(geo.Polytope([[1, 1], [2, 1], [1, 2]])) is None
 
     @pytest.mark.parametrize("d", [1.2e-9, 1.5e-9, 2e-9])
     def test_within_tolerance_rejected(self, d):
         # inradius d/2 <= 1e-9: rejected like a probe margin <= 1e-9
-        with pytest.raises((OriginNotInteriorError, UnboundedPolarError)):
-            geo.inradius_at_origin(geo.Polytope([[1, d], [1, -d], [-1, 0]]))
+        assert geo.contains_origin_interior(geo.Polytope([[1, d], [1, -d], [-1, 0]])) is None
 
     def test_just_past_tolerance_accepted(self):
-        r = geo.inradius_at_origin(geo.Polytope([[1, 3e-9], [1, -3e-9], [-1, 0]]))
+        r = geo.contains_origin_interior(geo.Polytope([[1, 3e-9], [1, -3e-9], [-1, 0]]))
         assert r.value == pytest.approx(1.5e-9, rel=1e-12)
 
     @pytest.mark.parametrize("d", [5, 6])
     def test_fallback_cross_polytope(self, d):
         # above dim 4 the value is margin / sqrt(d), exact for cross-polytopes
-        r = geo.inradius_at_origin(geo.Polytope(np.vstack([np.eye(d), -np.eye(d)])))
+        r = geo.contains_origin_interior(geo.Polytope(np.vstack([np.eye(d), -np.eye(d)])))
         assert r.estimated and r.value == pytest.approx(1.0 / np.sqrt(d), abs=1e-12)
 
     def test_fallback_is_a_lower_bound(self):
         # a regular 80-gon (k > 64): inradius cos(pi / 80), margin 1
         angles = 2.0 * np.pi * np.arange(80) / 80
-        r = geo.inradius_at_origin(geo.Polytope(np.c_[np.cos(angles), np.sin(angles)]))
+        r = geo.contains_origin_interior(geo.Polytope(np.c_[np.cos(angles), np.sin(angles)]))
         assert r.estimated
         assert r.value == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
         assert r.value <= np.cos(np.pi / 80)
@@ -386,7 +379,7 @@ class TestInradius:
         # none of its vertices, so the inradius is exactly 1/2
         V = np.vstack([np.eye(4), -np.eye(4), rng.uniform(-0.2, 0.2, size=(56, 4))])
         start = time.perf_counter()
-        r = geo.inradius_at_origin(geo.Polytope(V))
+        r = geo.contains_origin_interior(geo.Polytope(V))
         assert r == (0.5, False)
         assert time.perf_counter() - start < 5.0
 
@@ -455,7 +448,7 @@ class TestBatchedSubsetsMatchLoop:
         CHANGES.md): they get the estimate, a lower bound."""
         estimated = 0
         for P in self.polytopes(rng):
-            r = geo.inradius_at_origin(P)
+            r = geo.contains_origin_interior(P)
             want = 1.0 / loop_inradius_best(P.vertices)
             if r.estimated:
                 estimated += 1
@@ -551,9 +544,8 @@ DEGENERATE_ZMINUS = [
 class TestContainsOriginInterior:
     def test_degenerate_zminus(self):
         P = geo.Polytope(DEGENERATE_ZMINUS)
-        inside, margin, _ = geo.contains_origin_interior(P)
-        assert inside and abs(margin - 1.0) <= 1e-12
-        assert geo.inradius_at_origin(P) == (0.5, False)
+        assert abs(polar_margin(P)[0] - 1.0) <= 1e-12
+        assert geo.contains_origin_interior(P) == (0.5, False)
 
     def test_degenerate_zminus_convex_combination_lp(self):
         # The convex-combination form of the same probe: max r s.t.
@@ -586,24 +578,29 @@ class TestContainsOriginInterior:
             extra = rng.normal(size=(int(rng.integers(0, 8)), d))
             cases.append(geo.Polytope(np.vstack([V, extra])))
         for P in cases:
-            inside, margin, _ = geo.contains_origin_interior(P)
-            assert inside
+            assert geo.contains_origin_interior(P) is not None
             want = 1.0 / max(np.max(np.abs(y)) for y in loop_polar_vertices(P.vertices))
-            assert margin == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert polar_margin(P)[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_square(self):
-        inside, margin, _ = geo.contains_origin_interior(
-            geo.Polytope([[1, 1], [1, -1], [-1, 1], [-1, -1]])
-        )
-        assert inside and margin >= 0.999
+        P = geo.Polytope([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+        assert geo.contains_origin_interior(P).value >= 0.999
+        assert polar_margin(P)[0] >= 0.999
 
     def test_lower_dimensional(self):
-        inside, margin, _ = geo.contains_origin_interior(geo.Polytope([[0, 0], [1, 0]]))
-        assert not inside and margin == 0.0
+        assert geo.contains_origin_interior(geo.Polytope([[0, 0], [1, 0]])) is None
 
     def test_origin_outside(self):
-        inside, margin, _ = geo.contains_origin_interior(geo.Polytope([[1, 1], [2, 1], [1, 2]]))
-        assert not inside and margin == 0.0
+        assert geo.contains_origin_interior(geo.Polytope([[1, 1], [2, 1], [1, 2]])) is None
+
+
+def polar_margin(P):
+    """(margin, Y, complete): _polar's vertex list Y for P's nonzero
+    vertices, whether _polar certifies it, and the probe margin read off it,
+    min over +/- e_i of 1 / max <+/- e_i, y> (0.0 where a maximum is <= 0)."""
+    Y, complete = geo._polar(P.vertices[P.vertices.any(axis=1)])
+    tops = [float(np.max(s * Y[:, i], initial=0.0)) for i in range(P.dim) for s in (1.0, -1.0)]
+    return (1.0 / max(tops) if min(tops) > 0.0 else 0.0), Y, complete
 
 
 def lp_probe(P):
@@ -645,13 +642,28 @@ class TestPolarProbe:
         yield geo.Polytope(DEGENERATE_ZMINUS)
 
     def test_agrees_with_lp_probe(self, rng):
+        """A certified polar list gives the LPs' margins; the inradius is
+        1 / its largest norm there and margin / sqrt(dim) elsewhere, and it
+        is None exactly when the LPs reject the origin or it is <= 1e-9."""
         verdicts = set()
         for P in self.polytopes(rng):
-            inside, margin, _ = geo.contains_origin_interior(P)
+            r = geo.contains_origin_interior(P)
             want_inside, want_margin = lp_probe(P)
-            assert inside == want_inside
-            assert margin == pytest.approx(want_margin, rel=1e-12, abs=0.0)
-            verdicts.add(inside)
+            margin, Y, exact = polar_margin(P)
+            if exact:
+                # lp_probe reads a margin <= 1e-9 as 0.0
+                assert margin == pytest.approx(want_margin, rel=1e-12, abs=0.0) or (
+                    not want_inside and margin <= 1e-9
+                )
+                want = 1.0 / np.linalg.norm(Y, axis=1).max()
+            else:
+                want = want_margin / np.sqrt(P.dim)
+            if r is None:
+                assert not want_inside or want <= 1e-9
+            else:
+                assert want_inside and r.estimated == (not exact)
+                assert r.value == pytest.approx(want, rel=1e-12, abs=0.0)
+            verdicts.add(r is not None)
         assert verdicts == {True, False}
 
     def test_certified_without_lp(self, rng, lp_solve_calls):
@@ -661,7 +673,7 @@ class TestPolarProbe:
             d = int(rng.integers(1, 5))
             V = rng.normal(size=(int(rng.integers(2 * d, 12)), d))
             P = geo.Polytope(np.vstack([V, -V]))
-            assert geo.contains_origin_interior(P)[0]
+            assert geo.contains_origin_interior(P) is not None
         assert lp_solve_calls[0] == 0
 
     def test_dropped_farthest_vertex(self, rng, monkeypatch, lp_solve_calls):
@@ -670,7 +682,7 @@ class TestPolarProbe:
         every direction is an LP and d_z the estimate, below the true value;
         the vertices left would read a larger one."""
         P = geo.Polytope(np.vstack([cross_polytope(3), rng.normal(size=(8, 3))]))
-        true = geo.inradius_at_origin(P)
+        true = geo.contains_origin_interior(P)
         assert not true.estimated
         real = geo._polar_vertices
 
@@ -683,7 +695,7 @@ class TestPolarProbe:
         assert not geo._polar(P.vertices)[1]
         assert 1.0 / np.linalg.norm(dropped(P.vertices), axis=1).max() > true.value
         lp_solve_calls[0] = 0
-        r = geo.inradius_at_origin(P)
+        r = geo.contains_origin_interior(P)
         assert r.estimated and r.value <= true.value
         assert lp_solve_calls[0] == 6
 
@@ -697,7 +709,7 @@ class TestPolarProbe:
             assert not geo._ridges_close(V @ geo._polar_vertices(V).T, 3)
             hrep_enumerations[0] = 0
             assert geo._polar(V)[1] and hrep_enumerations[0] == 1
-            r = geo.inradius_at_origin(geo.Polytope(V))
+            r = geo.contains_origin_interior(geo.Polytope(V))
             assert not r.estimated and r.value == pytest.approx(want, abs=1e-12)
         assert lp_solve_calls[0] == 0
 
@@ -707,8 +719,7 @@ class TestPolarProbe:
         V = np.array([[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0]])
         Y, complete = geo._polar(V)
         assert Y.shape == (0, 2) and not complete
-        with pytest.raises(OriginNotInteriorError):
-            geo.inradius_at_origin(geo.Polytope(np.vstack([V, np.zeros(2)])))
+        assert geo.contains_origin_interior(geo.Polytope(np.vstack([V, np.zeros(2)]))) is None
 
 
 class TestHalfspacesAndVertices:

@@ -1,9 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from robust_stability import lp, stability as st
+from robust_stability import harness, lp, stability as st
 from robust_stability.errors import (
     EpsilonTooLargeError,
     HypothesisViolatedError,
@@ -11,7 +12,11 @@ from robust_stability.errors import (
     NuNotFiniteError,
     SlaterFailedError,
 )
-from robust_stability.geometry import Polytope, dist_origin_to_hset
+from robust_stability.geometry import (
+    Polytope,
+    contains_origin_interior,
+    dist_origin_to_hset,
+)
 from robust_stability.model import LsioProblem, RobustProblem, robust_counterpart
 from robust_stability.setdist import check_eps_argmin_lipschitz
 
@@ -21,6 +26,12 @@ from conftest import random_feasible_instance, shifted_instance
 def problem(cost, rows):
     """The LSIO problem of the stacked rows [a | b], labelled t0, t1, ..."""
     return LsioProblem(cost, rows, [f"t{i}" for i in range(len(rows))])
+
+
+def thin_triangle(c):
+    """min x1 + x2 s.t. x1 + (c-1) x2 >= -1, (c-1) x1 + x2 >= -1: Z- is the
+    triangle (1, c-1), (c-1, 1), (-1, -1), of inradius c / sqrt(2)."""
+    return problem([1.0, 1.0], [[1.0, c - 1.0, -1.0], [c - 1.0, 1.0, -1.0]])
 
 
 def interval_problem():
@@ -187,9 +198,7 @@ def straight_line_constants(pi, nu, eps):
 
     c_norm = math.sqrt(sum(v * v for v in np.asarray(pi.cost, dtype=float)))
     d_i = dist_origin_to_hset(pi.rows)
-    from robust_stability.geometry import inradius_at_origin
-
-    d_z = inradius_at_origin(st.build_Zminus(pi)).value
+    d_z = contains_origin_interior(st.build_Zminus(pi)).value
     s_r = max(max(-b for b in pi.rows[:, -1]), nu)
     rho_hat = s_r / d_z
 
@@ -269,24 +278,36 @@ class TestLipschitzConstant:
         with pytest.raises(NotInteriorSolvableError):
             st.lipschitz_constant(pi)
 
-    @pytest.mark.parametrize(
-        "entry",
-        [st.lipschitz_constant, st.distance_to_bd_solvable],
-        ids=["lipschitz_constant", "distance_to_bd_solvable"],
-    )
-    def test_zminus_boundary_rejected(self, monkeypatch, entry):
-        # Z- = conv{(1, 0), (-1, 0)} is a segment through the origin.
-        # check_interior_solvable is forced to pass, so only the inradius's
-        # own check (its polar has no vertices) rejects.
-        pi = problem([1.0, 0.0], [[1.0, 0.0, 1.0], [-1.0, 0.0, -2.0]])
-        real = st.check_interior_solvable
-        monkeypatch.setattr(
-            st,
-            "check_interior_solvable",
-            lambda p: dataclasses.replace(real(p), ok=True, failing=""),
-        )
-        with pytest.raises(NotInteriorSolvableError, match="Z-"):
-            entry(pi)
+    def test_zminus_thin_triangle_rejected(self, tmp_path, capsys):
+        # min x1 + x2 s.t. x1 + (c-1) x2 >= -1, (c-1) x1 + x2 >= -1 is Slater
+        # and solvable; Z- = conv{(1, c-1), (c-1, 1), (-1, -1)} has every
+        # axis margin above 1e-9 but inradius c / sqrt(2) <= 1e-9, so the
+        # bounded-face check rejects it, and every entry point with it
+        pi = thin_triangle(1.2e-9)
+        assert contains_origin_interior(st.build_Zminus(pi)) is None
+        r = st.check_interior_solvable(pi)
+        assert r.slater is not None and r.solve_result.status == lp.OPTIMAL
+        assert not r.ok and not r.bounded_face and r.d_z is None
+        assert "bounded optimal face" in r.failing
+        for entry in (st.lipschitz_constant, st.distance_to_bd_solvable):
+            with pytest.raises(NotInteriorSolvableError, match="Z-"):
+                entry(pi)
+        sets = {t: Polytope(row[None, :]) for t, row in zip(pi.labels, pi.rows)}
+        rp = RobustProblem(constraint_sets=sets, cost=pi.cost)
+        with pytest.raises(HypothesisViolatedError, match="Z-"):
+            st.ValueLipschitzChecker(rp)
+        path = tmp_path / "thin.json"
+        path.write_text(json.dumps({
+            "n": 2,
+            "cost": pi.cost.tolist(),
+            "constraints": [
+                {"name": t, "vertices": [row.tolist()]} for t, row in zip(pi.labels, pi.rows)
+            ],
+        }))
+        assert harness.cli(["constants", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "HypothesisViolatedError"
 
     @pytest.mark.parametrize("d", [1.2e-9, 1.5e-9, 2e-9])
     def test_zminus_within_tolerance_rejected(self, d):
@@ -309,13 +330,31 @@ class TestLipschitzConstant:
 def test_checker_d_z_is_the_augmented_inradius(rng, n):
     # the checker reads d_z from the probe of the counterpart's Z-; the
     # augmented problem's zero slack row leaves its value's bits as they are
-    from robust_stability.geometry import inradius_at_origin
-
     for _ in range(5):
         checker = st.ValueLipschitzChecker(random_feasible_instance(rng, n=n, n_uncertain=3))
         aug = checker.augmented
-        want = inradius_at_origin(st.build_Zminus(st._canonical(aug))).value
+        want = contains_origin_interior(st.build_Zminus(st._canonical(aug))).value
         assert checker.constants.d_z.hex() == want.hex()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hypotheses_hold_exactly_when_constants_exist(rng, n):
+    # one verdict: check_interior_solvable is ok exactly when it sets d_z
+    # and exactly when lipschitz_constant returns constants
+    problems = [robust_counterpart(random_feasible_instance(rng, n=n)) for _ in range(5)]
+    problems += [thin_triangle(c * 1e-9) for c in (1.0, 1.2, 1.5, 3.0)]
+    verdicts = set()
+    for pi in problems:
+        r = st.check_interior_solvable(pi)
+        assert (r.d_z is not None) == r.ok
+        try:
+            st.lipschitz_constant(pi)
+            constants = True
+        except NotInteriorSolvableError:
+            constants = False
+        assert constants == r.ok
+        verdicts.add(r.ok)
+    assert verdicts == {True, False}
 
 
 class TestSolveCounts:
