@@ -278,6 +278,25 @@ class TestLipschitzConstant:
         with pytest.raises(NotInteriorSolvableError):
             st.lipschitz_constant(pi)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [st.lipschitz_constant, st.distance_to_bd_solvable],
+        ids=["lipschitz_constant", "distance_to_bd_solvable"],
+    )
+    def test_zminus_boundary_rejected(self, monkeypatch, entry):
+        # Z- = conv{(1, 0), (-1, 0)} is a segment through the origin, while
+        # Slater and solvability hold, so the Z- probe's own None verdict is
+        # what rejects: the spy sees it called once and answer None
+        pi = problem([1.0, 0.0], [[1.0, 0.0, 1.0], [-1.0, 0.0, -2.0]])
+        verdicts = []
+        real = st.contains_origin_interior
+        monkeypatch.setattr(
+            st, "contains_origin_interior", lambda P: verdicts.append(real(P)) or verdicts[-1]
+        )
+        with pytest.raises(NotInteriorSolvableError, match="Z-"):
+            entry(pi)
+        assert verdicts == [None]
+
     def test_zminus_thin_triangle_rejected(self, tmp_path, capsys):
         # min x1 + x2 s.t. x1 + (c-1) x2 >= -1, (c-1) x1 + x2 >= -1 is Slater
         # and solvable; Z- = conv{(1, c-1), (c-1, 1), (-1, -1)} has every
