@@ -7,11 +7,13 @@ the two exits that do not test it); it is the only projection: an H-polytope
 is projected onto as the hull of its vertices (enumerate_hrep_vertices).
 """
 
+import functools
 import itertools
 import math
 
 import numpy as np
 from dataclasses import dataclass
+from numpy.linalg import _umath_linalg
 from typing import NamedTuple
 
 from . import lp as lpmod
@@ -19,8 +21,8 @@ from .errors import DimensionMismatchError, IterationLimitError
 
 _MNP_GAP_TOL = 1e-9
 _MNP_MAX_ITER = 100_000
-_SUBSET_BLOCK = 4096  # d-subsets per stacked solve; ~3 MB of products at k = 64
-_FACET_MAX_SUBSETS = 3 * _SUBSET_BLOCK  # per enumeration in facets(), ~30 ms
+_SUBSET_BLOCK = 4096  # d-subsets per stacked solve; 2.9 MB at k = 64, d = 4, 2 MB of it M @ X
+_FACET_MAX_SUBSETS = 3 * _SUBSET_BLOCK  # per enumeration in facets(), ~10 ms
 _TIGHT = 1e-9  # a vertex with <w, y> >= 1 - _TIGHT lies on facet y
 _TIE_BAND = 1e-6  # ... and one above 1 - _TIE_BAND but not tight is a tie
 
@@ -55,6 +57,13 @@ class Polytope:
         return Polytope(self.vertices * float(s))
 
 
+def _lu_solve(A, B):
+    """np.linalg.solve(A, B) for (m, n) blocks B, bit for bit: the gufunc it
+    calls, one LU (gesv) per matrix, but a NaN block where it raises (a zero pivot)."""
+    with np.errstate(all="ignore"):
+        return _umath_linalg.solve(A, B, signature="dd->d")
+
+
 def _affine_minimizer(B):
     """Min-norm point of the affine hull of the rows of B.
 
@@ -67,11 +76,8 @@ def _affine_minimizer(B):
     K[k, :k] = 1.0
     rhs = np.zeros(k + 1)
     rhs[k] = 1.0
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    if not np.isfinite(sol).all():
+    sol = _lu_solve(K, rhs[:, None])[:, 0]
+    if not np.isfinite(sol).all():  # singular K, or an overflowed solve
         sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
     return sol[:k]
 
@@ -270,21 +276,38 @@ def dist_origin_to_hset(G) -> float:
     return float(np.linalg.norm(x))
 
 
-def _subset_solutions(M, rhs, d):
-    """(M[S], X, M @ X) per block of d-subsets S of M's rows, M[S] x = rhs[S].
+@functools.lru_cache(maxsize=32)
+def _subset_table(k, d):
+    """The d-subsets of range(k) as read-only index rows, in combinations
+    order; cached, so called only for at most _SUBSET_BLOCK rows."""
+    T = np.array(list(itertools.combinations(range(k), d)), np.intp).reshape(-1, d)
+    T.flags.writeable = False
+    return T
 
-    Subsets come in itertools.combinations order; one is dropped exactly when
-    its LU meets a zero pivot (slogdet sign 0), where np.linalg.solve raises.
-    gesv and gemv run per subset, so every value has a one-subset call's bits.
-    """
-    flat = itertools.chain.from_iterable(itertools.combinations(range(len(M)), d))
+
+def _subset_blocks(k, d):
+    """The d-subsets of range(k) as index rows, in combinations order: the
+    cached table for at most _SUBSET_BLOCK of them, else blocks of that many."""
+    if math.comb(k, d) <= _SUBSET_BLOCK:
+        yield _subset_table(k, d)
+        return
+    flat = itertools.chain.from_iterable(itertools.combinations(range(k), d))
     while (idx := np.fromiter(itertools.islice(flat, _SUBSET_BLOCK * d), np.intp)).size:
-        A = M[idx.reshape(-1, d)]
-        ok = np.linalg.slogdet(A)[0] != 0
-        X = np.linalg.solve(A[ok], rhs[idx.reshape(-1, d)[ok]][..., None])
+        yield idx.reshape(-1, d)
+
+
+def _subset_solutions(M, rhs, d):
+    """(M[S], X, M @ X) per block of d-subsets S of M's rows, M[S] x = rhs[S],
+    in _subset_blocks' order.  x is a NaN row exactly where its LU meets a
+    zero pivot (np.linalg.solve raises there), and NaN fails every filter of
+    the callers.  gesv and gemv run per subset, so every value has a
+    one-subset call's bits."""
+    for S in _subset_blocks(len(M), d):
+        A = M[S]
+        X = _lu_solve(A, rhs[S][..., None])
         with np.errstate(invalid="ignore"):  # 0 * inf where a solve overflowed
             MX = M @ X
-        yield A[ok], X[..., 0], MX[..., 0]
+        yield A, X[..., 0], MX[..., 0]
 
 
 def _polar_vertices(W):
@@ -430,9 +453,9 @@ def _ridges_close(G, d):
     if (G > 1.0 - _TIE_BAND).sum() != tight.sum() or (tight.sum(axis=0) != d).any():
         return False
     T = tight.T.nonzero()[1].reshape(-1, d)  # each facet's vertices, ascending
-    keys = np.sort(np.concatenate(
-        [np.delete(T, j, axis=1) @ len(G) ** np.arange(d - 1) for j in range(d)]
-    ))
+    i = np.arange(d - 1)
+    drop = i + (i >= np.arange(d)[:, None])  # row j: the columns but j, ascending
+    keys = np.sort((T[:, drop] @ len(G) ** i).ravel())
     # every key twice: equal within each pair, rising between pairs
     return len(keys) % 2 == 0 and bool(
         (keys[0::2] == keys[1::2]).all() and (keys[2::2] > keys[1:-1:2]).all()

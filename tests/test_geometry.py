@@ -514,6 +514,82 @@ class TestBatchedSubsetsMatchLoop:
         assert geo.enumerate_hrep_vertices(rows) == loop_hrep_vertices(rows) == []
 
 
+class TestLuSolve:
+    """_lu_solve calls the gufunc behind np.linalg.solve: a nonsingular
+    block has np.linalg.solve's bits, a singular one is NaN exactly where
+    slogdet's sign is 0, and no warning escapes.  A numpy release that
+    changes the gufunc fails here before it moves any result."""
+
+    @staticmethod
+    def stacks(rng):
+        for d in range(1, 5):
+            box = np.vstack([np.eye(d), -np.eye(d)])  # +/- e_i pairs
+            V = np.vstack([box, rng.normal(size=(5, d))])
+            V = np.vstack([V, V[:2], V[-1:]])  # duplicate rows
+            for W in (V, np.round(V)):  # rounded rows: many exactly singular subsets
+                S = np.array(list(itertools.combinations(range(len(W)), d)))
+                yield W[S], rng.normal(size=(len(S), d, 1))
+        yield np.zeros((1, 1, 1)), np.ones((1, 1, 1))
+
+    def test_stacks(self, rng):
+        singular = solved = 0
+        for A, B in self.stacks(rng):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                X = geo._lu_solve(A, B)
+            zero = np.linalg.slogdet(A)[0] == 0
+            assert (np.isnan(X).any(axis=(1, 2)) == zero).all()
+            assert np.isnan(X[zero]).all()
+            for a, b, x in zip(A[~zero], B[~zero], X[~zero]):
+                assert x.tobytes() == np.linalg.solve(a, b).tobytes()
+            singular, solved = singular + zero.sum(), solved + (~zero).sum()
+        assert singular > 100 and solved > 100
+
+    def test_one_matrix(self, rng):
+        """Wolfe's call: one matrix and one right-hand side column, with the
+        bits of np.linalg.solve on the vector."""
+        for k in range(1, 8):
+            K, b = rng.normal(size=(k, k)), rng.normal(size=k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x = geo._lu_solve(K, b[:, None])[:, 0]
+            assert x.tobytes() == np.linalg.solve(K, b).tobytes()
+        assert np.isnan(geo._lu_solve(np.ones((2, 2)), np.ones((2, 1)))).all()
+
+
+class TestSubsetTable:
+    def test_rows_are_combinations(self):
+        for k, d in itertools.product(range(13), range(1, 5)):
+            T = geo._subset_table(k, d)
+            assert T.shape == (math.comb(k, d), d)
+            assert T.tolist() == [list(S) for S in itertools.combinations(range(k), d)]
+
+    def test_read_only(self):
+        T = geo._subset_table(6, 3)
+        with pytest.raises(ValueError):
+            T[0, 0] = 5
+        assert geo._subset_table(6, 3) is T
+
+    def test_large_tables_not_cached(self, rng):
+        """The input of test_largest_exact_case: C(64, 4) = 635,376 subsets
+        stream in blocks, and no table enters the cache."""
+        V = np.vstack([np.eye(4), -np.eye(4), rng.uniform(-0.2, 0.2, size=(56, 4))])
+        geo._subset_table.cache_clear()
+        assert geo.contains_origin_interior(geo.Polytope(V)) == (0.5, False)
+        assert geo._subset_table.cache_info().currsize == 0
+
+    def test_streamed_blocks_match_the_table(self, rng, monkeypatch):
+        """With the bound lowered, the same inputs stream in blocks of 7
+        instead of reading the cached table, with the same output bytes."""
+        for P in TestBatchedSubsetsMatchLoop.polytopes(rng):
+            W = P.vertices[P.vertices.any(axis=1)]
+            want = geo._polar_vertices(W)
+            with monkeypatch.context() as m:
+                m.setattr(geo, "_SUBSET_BLOCK", 7)
+                got = geo._polar_vertices(W)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # Z- of a degenerate benchmark instance (constants-sweep generator, seed 6,
 # item 1467, slack row appended, rows canonicalised): +/- e_i, the slack
 # row's zero vertex, eight uncertain rows and -c.  Its true margin is 1 and
